@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ContractViolationError
-from .graph import CostedInstance, PathCounts, apsp, enumerate_shortest_paths
-from .greedy import _pick_max, _pick_ratio, _tie_tol
+from .graph import CostedInstance, PathCounts, enumerate_shortest_paths
+from .greedy import _pick_max, _pick_ratio, _resolve_pc, _tie_tol
 
 __all__ = [
     "CoverageInstance",
@@ -64,8 +64,7 @@ def reduce_to_coverage(
     deterministic.
     """
     g = inst.graph
-    if pc is None:
-        pc = apsp(g)
+    pc = _resolve_pc(inst, pc)
     n = g.n
     total_paths = (float(pc.sigma.sum()) - n) / 2.0
     if total_paths > cap:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapExceededError, ContractViolationError
-from .graph import CostedInstance, PathCounts, apsp
+from .errors import CapExceededError
+from .graph import CostedInstance, PathCounts
 from .gbc import GbcOracle
-from .greedy import Solution
+from .greedy import Solution, _candidate_pool, _resolve_pc
 
 __all__ = ["solve_exact", "MAX_CANDIDATES"]
 
@@ -31,20 +31,13 @@ def solve_exact(
     the pool restriction.
     """
     g = inst.graph
-    if candidates is None:
-        cand = list(range(g.n))
-    else:
-        cand = sorted(set(candidates))
-        for v in cand:
-            if not (0 <= v < g.n):
-                raise ContractViolationError(f"candidate id {v} out of range")
+    cand = _candidate_pool(g, candidates)
     if len(cand) > MAX_CANDIDATES:
         raise CapExceededError(
             f"{len(cand)} candidates exceed the exhaustive-search cap {MAX_CANDIDATES}",
             len(cand),
         )
-    if pc is None:
-        pc = apsp(g)
+    pc = _resolve_pc(inst, pc)
     costs = inst.cost
     budget = inst.budget
     full = float(g.n * (g.n - 1))

@@ -5,8 +5,11 @@ count, and a shortest path contains its endpoints.  Consequently
 GBC(V) = n(n-1), GBC({v}) = brandes_bc(v) + 2(n-1), and the value of
 any group lies in [0, n(n-1)].
 
-The direct evaluator counts paths that avoid the group by a level DP
-on the shortest-path DAG; nothing here ever enumerates paths.
+The direct evaluator counts paths that avoid the group with the same
+forward level sweep that `apsp` uses for sigma, here with the group's
+columns blocked.  The incremental oracle derives every gain and every
+update from one product: the member-avoiding x-y paths through v.
+Nothing here ever enumerates paths.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, ContractViolationError
-from .graph import Graph, PathCounts, _check_node
+from .graph import Graph, PathCounts, _check_node, _level_sweep
 
 __all__ = [
     "gbc_direct",
@@ -38,25 +41,10 @@ def _member_mask(pc: PathCounts, group) -> np.ndarray:
 def _avoiding_counts(pc: PathCounts, blocked: np.ndarray) -> np.ndarray:
     """Number of shortest x-y paths meeting no blocked node, per ordered pair.
 
-    Same level-synchronous DP as the sigma computation, except blocked
-    columns are zeroed at every level so no path may enter a blocked
-    node, and blocked sources start at zero (a path contains its
-    endpoints).
+    Blocked sources start at zero (a path contains its endpoints).
     """
-    g = pc.graph
-    n = g.n
-    A = g.csr()
-    dist = pc.dist
-    F = np.zeros((n, n), dtype=np.float64)
-    free = np.flatnonzero(~blocked)
-    F[free, free] = 1.0
-    for d in range(1, int(dist.max()) + 1):
-        prev = np.where(dist == d - 1, F, 0.0)
-        contrib = (A @ prev.T).T
-        at = dist == d
-        F[at] = contrib[at]
-        F[:, blocked] = 0.0
-    return F
+    seeds = np.diag((~blocked).astype(np.float64))
+    return _level_sweep(pc.graph.csr(), pc.dist, seeds, blocked)
 
 
 def gbc_direct(pc: PathCounts, group) -> float:
@@ -100,7 +88,14 @@ class GbcOracle:
     (the zero-length path at w contains w), which makes the update
     product formula uniform for endpoint pairs.
 
-    gain() is read-only; add() is the only mutator and costs O(n^2).
+    Everything derives from one product, _through(v): the avoiding x-y
+    paths through v, sigma_tilde[x, v] * sigma_tilde[v, y] wherever v
+    lies on a shortest x-y path.  gains() forms it for a slab of
+    candidates at a time: O(n^2) time per candidate, with each slab
+    held under 16M entries to bound the temporaries.  gain(v) is
+    gains([v]).  add() subtracts the product from sigma_tilde, O(n^2).
+
+    gain() and gains() are read-only; add() is the only mutator.
     Concurrent readers are safe against a frozen oracle; an add needs
     exclusive access.
     """
@@ -129,46 +124,35 @@ class GbcOracle:
     def members(self) -> tuple[int, ...]:
         return tuple(sorted(self._members))
 
-    def _pred(self, v: int) -> np.ndarray:
+    def _through(self, vs) -> np.ndarray:
+        """(len(vs), n, n) slab: member-avoiding shortest x-y paths through each v."""
         d = self.pc.dist
-        return (d[:, v, None] + d[v, None, :]) == d
+        T = self.sigma_tilde
+        on_path = (d[:, vs].T[:, :, None] + d[vs][:, None, :]) == d
+        return np.where(on_path, T[:, vs].T[:, :, None] * T[vs][:, None, :], 0.0)
 
     def gain(self, v: int) -> float:
         """GBC(members + v) - GBC(members); zero for an existing member."""
-        _check_node(self.pc.graph, v)
-        if v in self._members:
-            return 0.0
-        T = self.sigma_tilde
-        newly = np.where(self._pred(v), np.outer(T[:, v], T[v, :]), 0.0) / self.pc.sigma
-        return float(newly.sum() - newly[v, v])
+        return float(self.gains([v])[0])
 
     def gains(self, candidates) -> np.ndarray:
-        """Vectorized gain() over a candidate list; members score 0."""
-        cands = np.asarray(list(candidates), dtype=np.int64)
+        """gain() of every candidate, in order; members score 0."""
+        cands = list(candidates)
+        for v in cands:
+            _check_node(self.pc.graph, v)
         out = np.zeros(len(cands), dtype=np.float64)
-        if len(cands) == 0:
-            return out
-        if cands.min() < 0 or cands.max() >= self.pc.n:
-            raise ContractViolationError("candidate id out of range")
-        fresh = np.array([v not in self._members for v in cands], dtype=bool)
-        idx = np.flatnonzero(fresh)
-        if len(idx) == 0:
-            return out
-        d = self.pc.dist
-        T = self.sigma_tilde
-        sigma = self.pc.sigma
+        ids = np.asarray(cands, dtype=np.int64)
+        fresh = np.array(
+            [i for i, v in enumerate(cands) if v not in self._members], dtype=np.int64
+        )
         n = self.pc.n
         # slab size bounded to keep the (chunk, n, n) temporaries modest
         chunk = max(1, int(16_000_000 // max(1, n * n)))
-        for lo in range(0, len(idx), chunk):
-            sel = idx[lo : lo + chunk]
-            vs = cands[sel]
-            pred = (d[:, vs].T[:, :, None] + d[vs][:, None, :]) == d[None, :, :]
-            prod = T[:, vs].T[:, :, None] * T[vs][:, None, :]
-            newly = np.where(pred, prod, 0.0) / sigma[None, :, :]
-            totals = newly.sum(axis=(1, 2))
-            diag = newly[np.arange(len(vs)), vs, vs]
-            out[sel] = totals - diag
+        for lo in range(0, len(fresh), chunk):
+            sel = fresh[lo : lo + chunk]
+            newly = self._through(ids[sel]) / self.pc.sigma
+            # (v, v) is no pair; its term is exactly 1 for a non-member v
+            out[sel] = newly.sum(axis=(1, 2)) - 1.0
         return out
 
     def add(self, v: int) -> float:
@@ -178,10 +162,9 @@ class GbcOracle:
             raise ContractViolationError(f"node {v} is already a member")
         T = self.sigma_tilde
         sigma = self.pc.sigma
-        prod = np.where(self._pred(v), np.outer(T[:, v], T[v, :]), 0.0)
-        newly = prod / sigma
-        gain = float(newly.sum() - newly[v, v])
-        T -= prod
+        through = self._through([v])[0]
+        gain = float((through / sigma).sum()) - 1.0
+        T -= through
         neg = T < 0.0
         if neg.any():
             if bool((-T[neg] > _CLAMP_REL * sigma[neg]).any()):

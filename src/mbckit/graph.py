@@ -207,20 +207,33 @@ class PathCounts:
         return self.graph.n
 
 
+def _level_sweep(
+    A: sparse.csr_matrix, dist: np.ndarray, X: np.ndarray, blocked: np.ndarray | None = None
+) -> np.ndarray:
+    """Forward level DP over the shortest-path DAGs, in place on X.
+
+    Entries of X at distance 0 are the seeds.  Level by level,
+    X[s, t] becomes the sum of X[s, w] over neighbors w of t one hop
+    closer to s.  Columns in `blocked` are zeroed after every level, so
+    no counted path enters a blocked node.
+    """
+    for d in range(1, int(dist.max()) + 1):
+        prev = np.where(dist == d - 1, X, 0.0)
+        contrib = (A @ prev.T).T
+        at = dist == d
+        X[at] = contrib[at]
+        if blocked is not None:
+            X[:, blocked] = 0.0
+    return X
+
+
 def apsp(g: Graph) -> PathCounts:
     """Distances by breadth-first search, path counts by the level DP
     sigma(s, t) = sum of sigma(s, w) over neighbors w of t one hop closer."""
     A = g.csr()
     dist = csgraph.shortest_path(A, method="D", unweighted=True, directed=False)
     dist = dist.astype(np.int64)
-    n = g.n
-    sigma = np.zeros((n, n), dtype=np.float64)
-    np.fill_diagonal(sigma, 1.0)
-    for d in range(1, int(dist.max()) + 1):
-        prev = np.where(dist == d - 1, sigma, 0.0)
-        contrib = (A @ prev.T).T
-        at = dist == d
-        sigma[at] = contrib[at]
+    sigma = _level_sweep(A, dist, np.eye(g.n))
     dist.setflags(write=False)
     sigma.setflags(write=False)
     return PathCounts(g, dist, sigma)

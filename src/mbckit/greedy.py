@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .gbc import GbcOracle
-from .graph import CostedInstance, PathCounts, apsp
+from .graph import CostedInstance, Graph, PathCounts, _check_node, apsp
 
 __all__ = ["Solution", "greedy_unit", "greedy_ratio", "greedy_modified"]
 
@@ -49,6 +49,16 @@ def _resolve_pc(inst: CostedInstance, pc: PathCounts | None) -> PathCounts:
     if pc.graph is not inst.graph:
         raise ContractViolationError("path counts were built for a different graph")
     return pc
+
+
+def _candidate_pool(g: Graph, candidates) -> list[int]:
+    """Sorted distinct candidate ids, every node when candidates is None."""
+    if candidates is None:
+        return list(range(g.n))
+    cand = set(candidates)
+    for v in cand:
+        _check_node(g, v)
+    return sorted(cand)
 
 
 # Gain gaps are rationals with small denominators, far above this; float
@@ -201,14 +211,7 @@ def greedy_modified(
     Initializations are independent; `threads` evaluates them in a
     thread pool with a deterministic sequential merge.
     """
-    g = inst.graph
-    if candidates is None:
-        cand = list(range(g.n))
-    else:
-        cand = sorted(set(candidates))
-        for v in cand:
-            if not (0 <= v < g.n):
-                raise ContractViolationError(f"candidate id {v} out of range")
+    cand = _candidate_pool(inst.graph, candidates)
     pc = _resolve_pc(inst, pc)
     base = GbcOracle(pc)
 

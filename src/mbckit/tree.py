@@ -52,10 +52,6 @@ class TreeNode:
     chain_group: int | None = None
     chain_tail: bool = False
 
-    @property
-    def real(self) -> bool:
-        return self.graph_node is not None
-
 
 @dataclass
 class RootedTree:

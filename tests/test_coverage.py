@@ -7,6 +7,7 @@ import pytest
 
 from mbckit import (
     CapExceededError,
+    ContractViolationError,
     CostedInstance,
     apsp,
     coverage_greedy,
@@ -52,6 +53,10 @@ class TestReduction:
             for size in range(g.n + 1):
                 for group in itertools.combinations(range(g.n), size):
                     assert abs(coverage_weight(ci, group) - gbc_direct(pc, group)) <= tol
+
+    def test_foreign_path_counts_rejected(self, c4, p4):
+        with pytest.raises(ContractViolationError):
+            reduce_to_coverage(make_instance(c4, budget=1), pc=apsp(p4))
 
     def test_cap(self, c4):
         with pytest.raises(CapExceededError) as err:

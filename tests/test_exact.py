@@ -3,7 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from mbckit import CapExceededError, CostedInstance, solve_exact
+from mbckit import (
+    CapExceededError,
+    ContractViolationError,
+    CostedInstance,
+    Graph,
+    apsp,
+    solve_exact,
+)
 from mbckit.exact import MAX_CANDIDATES
 from mbckit.generators import gen_random
 
@@ -37,6 +44,19 @@ class TestFrozenCases:
     def test_candidates_restriction(self, c4):
         sol = solve_exact(make_instance(c4, budget=1), candidates=[2, 3])
         assert sol.nodes == (2,)
+
+
+class TestInputChecks:
+    def test_foreign_path_counts_rejected(self, c4):
+        p5 = Graph([(str(i), str(i + 1)) for i in range(4)])
+        with pytest.raises(ContractViolationError):
+            solve_exact(make_instance(c4, budget=2), pc=apsp(p5))
+
+    def test_bad_candidates_rejected(self, c4):
+        inst = make_instance(c4, budget=1)
+        for bad in ([7], [-1], [1.5, 2]):
+            with pytest.raises(ContractViolationError):
+                solve_exact(inst, candidates=bad)
 
 
 class TestBruteForceEquivalence:

@@ -103,6 +103,27 @@ class TestOracle:
         oracle.add(0)
         batch = oracle.gains([1, 2, 3])
         assert batch.tolist() == [oracle.gain(1), oracle.gain(2), oracle.gain(3)]
+        # larger graphs, members left in the pool, after several adds: the
+        # batch, the single gain and the gain add() returns share one product
+        for seed in range(4):
+            g = gen_random(12 + 5 * seed, 0.3, seed=seed + 40)
+            oracle = GbcOracle(apsp(g))
+            for v in random.Random(seed).sample(range(g.n), 3):
+                oracle.add(v)
+            pool = list(range(g.n))
+            batch = oracle.gains(pool)
+            for i, v in enumerate(pool):
+                assert batch[i] == oracle.gain(v)
+                if v not in oracle.members:
+                    got = oracle.copy().add(v)
+                    assert abs(got - batch[i]) <= 1e-12 * g.n * g.n
+
+    def test_gains_rejects_non_integer_ids(self, c4):
+        oracle = GbcOracle(apsp(c4))
+        with pytest.raises(ContractViolationError):
+            oracle.gains([1.7, 2])
+        with pytest.raises(ContractViolationError):
+            oracle.gains([2, 4])
 
     def test_copy_is_independent(self, c4):
         base = GbcOracle(apsp(c4))

@@ -128,6 +128,8 @@ class TestGreedyModified:
         assert sol.nodes == (1, 3)
         with pytest.raises(ContractViolationError):
             greedy_modified(inst, candidates=[7])
+        with pytest.raises(ContractViolationError):
+            greedy_modified(inst, candidates=[1.5, 3])
 
     def test_threads_match_sequential(self, seed=3):
         g = gen_random(9, 0.35, seed=seed)
