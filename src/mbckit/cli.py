@@ -134,6 +134,9 @@ def _cmd_solve(args) -> int:
         raise ConsistencyError(
             f"reported value {sol.gbc} fails re-evaluation ({audit})"
         )
+    spent = inst.cost_of(sol.nodes)
+    if spent > inst.budget + 1e-9 * max(1.0, inst.budget):
+        raise ConsistencyError(f"chosen set costs {spent}, over the budget {inst.budget}")
     report = {
         "n": g.n,
         "m": g.m,

@@ -149,7 +149,9 @@ class Graph:
 
 
 def _check_node(g: Graph, v: int) -> None:
-    if not (isinstance(v, (int, np.integer)) and 0 <= v < g.n):
+    # bool is an int, but as an index it masks instead of picking a node
+    integral = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    if not (integral and 0 <= v < g.n):
         raise ContractViolationError(f"node id {v!r} out of range 0..{g.n - 1}")
 
 
@@ -208,22 +210,35 @@ class PathCounts:
 
 
 def _level_sweep(
-    A: sparse.csr_matrix, dist: np.ndarray, X: np.ndarray, blocked: np.ndarray | None = None
+    A: sparse.csr_matrix,
+    dist: np.ndarray,
+    X: np.ndarray,
+    blocked: np.ndarray | None = None,
+    reverse: bool = False,
 ) -> np.ndarray:
-    """Forward level DP over the shortest-path DAGs, in place on X.
+    """Level DP over the shortest-path DAGs, in place on X.
 
-    Entries of X at distance 0 are the seeds.  Level by level,
-    X[s, t] becomes the sum of X[s, w] over neighbors w of t one hop
-    closer to s.  Columns in `blocked` are zeroed after every level, so
-    no counted path enters a blocked node.
+    Column s of X holds the DAG rooted at s.  Forward, the entries at
+    distance 0 are the seeds, and level by level X[t, s] becomes the
+    sum of X[w, s] over neighbors w of t one hop closer to s.  In
+    reverse every entry is a seed, and from the farthest level inward
+    X[t, s] adds the sum of X[w, s] over neighbors w of t one hop
+    farther from s.  Rows in `blocked` are zeroed after every level, so
+    nothing flows through a blocked node.  Each level costs one sparse
+    product over all n columns.
     """
-    for d in range(1, int(dist.max()) + 1):
-        prev = np.where(dist == d - 1, X, 0.0)
-        contrib = (A @ prev.T).T
+    top = int(dist.max())
+    src = dist == (top if reverse else 0)
+    for d in range(top - 1, -1, -1) if reverse else range(1, top + 1):
         at = dist == d
-        X[at] = contrib[at]
+        contrib = A @ np.where(src, X, 0.0)
+        if reverse:
+            np.add(X, contrib, out=X, where=at)
+        else:
+            np.copyto(X, contrib, where=at)
         if blocked is not None:
-            X[:, blocked] = 0.0
+            X[blocked] = 0.0
+        src = at
     return X
 
 

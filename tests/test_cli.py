@@ -111,6 +111,19 @@ class TestSolveCommand:
         assert code == 4
         assert "consistency" in err
 
+    def test_self_audit_catches_over_budget_set(self, capsys, c4_file, monkeypatch):
+        from mbckit.greedy import Solution
+
+        def spendthrift(inst):
+            # the whole cycle, valued correctly, but four times the budget
+            return Solution(nodes=(0, 1, 2, 3), cost=4.0, gbc=12.0, algorithm="ratio")
+
+        monkeypatch.setattr(cli, "greedy_ratio", spendthrift)
+        code, out, err = run(capsys, "solve", "-g", c4_file, "--budget", "1", "--algo", "ratio")
+        assert code == 4
+        assert out == ""
+        assert "budget" in err
+
     def test_json_instance_budget_used(self, capsys, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"edges": [["a", "b"], ["b", "c"]], "budget": 1}))

@@ -57,6 +57,8 @@ class TestInputChecks:
         for bad in ([7], [-1], [1.5, 2]):
             with pytest.raises(ContractViolationError):
                 solve_exact(inst, candidates=bad)
+        with pytest.raises(ContractViolationError):
+            solve_exact(inst, candidates=[True, False])
 
 
 class TestBruteForceEquivalence:

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from mbckit import (
     ContractViolationError,
     GbcOracle,
+    Graph,
     apsp,
     brandes_bc,
     gbc_direct,
@@ -39,6 +42,9 @@ class TestGbcDirect:
     def test_rejects_bad_ids(self, p3):
         with pytest.raises(ContractViolationError):
             gbc_direct(apsp(p3), [5])
+        # a bool id would mask every node instead of picking node 1
+        with pytest.raises(ContractViolationError):
+            gbc_direct(apsp(p3), [True])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_path_enumeration_exhaustively(self, seed):
@@ -124,6 +130,87 @@ class TestOracle:
             oracle.gains([1.7, 2])
         with pytest.raises(ContractViolationError):
             oracle.gains([2, 4])
+        with pytest.raises(ContractViolationError):
+            oracle.gains([True])
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_sweep_and_slab_agree_with_direct(self, case):
+        g = _kernel_graphs()[case]
+        pc = apsp(g)
+        oracle = GbcOracle(pc)
+        chosen = random.Random(case).sample(range(g.n), 3)
+        for v in chosen:
+            oracle.add(v)
+        pool = list(range(g.n))  # members stay in the pool
+        sweep = oracle._sweep_gains()
+        base = gbc_direct(pc, chosen)
+        want = [0.0 if v in chosen else gbc_direct(pc, chosen + [v]) - base for v in pool]
+        scale = g.n * g.n
+        assert np.abs(sweep - want).max() <= 1e-9 * scale
+        # pools of one to three candidates always take the slab
+        lo = 0
+        while lo < g.n:
+            part = pool[lo : lo + 1 + lo % 3]
+            slab = oracle.gains(part)
+            assert np.abs(slab - sweep[part]).max() <= 1e-12 * scale
+            assert np.abs(slab - np.take(want, part)).max() <= 1e-9 * scale
+            lo += len(part)
+        # a large pool on a low-diameter graph takes the sweep, and caches it
+        if case < 4:
+            assert oracle.gains(pool).tolist() == sweep.tolist()
+            assert oracle._gain_all is not None
+
+    def test_add_drops_cached_gains(self):
+        g = gen_random(30, 0.2, seed=71)
+        pc = apsp(g)
+        pool = list(range(g.n))
+        oracle = GbcOracle(pc)
+        replay = []
+        for v in random.Random(5).sample(pool, 4):
+            oracle.gains(pool)
+            oracle.add(v)
+            replay.append(v)
+            fresh = GbcOracle(pc)
+            for u in replay:
+                fresh.add(u)
+            assert oracle.gains(pool).tolist() == fresh.gains(pool).tolist()
+
+    def test_add_on_copy_keeps_parent_cache(self):
+        g = gen_random(30, 0.2, seed=72)
+        oracle = GbcOracle(apsp(g))
+        oracle.add(0)
+        pool = list(range(g.n))
+        cached = oracle.gains(pool)
+        singles = [oracle.gain(v) for v in pool]
+        vec = oracle._gain_all
+        fork = oracle.copy()
+        fork.add(1)
+        assert oracle._gain_all is vec
+        assert oracle.gains(pool).tolist() == cached.tolist()
+        assert [oracle.gain(v) for v in pool] == singles
+        assert fork.gain(1) == 0.0
+
+    def test_concurrent_readers_agree(self):
+        # gains() fills the cache from whichever thread gets there first
+        g = gen_random(30, 0.2, seed=73)
+        pc = apsp(g)
+        pool = list(range(g.n))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as ex:
+                for rnd in range(4):
+                    oracle = GbcOracle(pc)
+                    oracle.add(rnd)
+                    want = oracle.copy()._sweep_gains()
+                    calls = [pool if i % 2 else [i] for i in range(24)]
+                    futures = [ex.submit(oracle.gains, c) for c in calls]
+                    for c, fut in zip(calls, futures):
+                        got = fut.result(timeout=60)
+                        assert np.abs(got - want[c]).max() <= 1e-12 * g.n * g.n
+                    assert oracle._gain_all.tolist() == want.tolist()
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_copy_is_independent(self, c4):
         base = GbcOracle(apsp(c4))
@@ -157,6 +244,16 @@ class TestOracle:
             assert abs(oracle.base_value - gbc_direct(pc, chosen)) <= tol
 
 
+def _kernel_graphs():
+    """Four seeded random graphs, a 9-node path and a 4x4 grid."""
+    graphs = [gen_random(20 + 4 * s, 0.25, seed=s + 60) for s in range(4)]
+    graphs.append(Graph([(str(i), str(i + 1)) for i in range(8)]))
+    grid = [((r, c), (r + dr, c + dc)) for r in range(4) for c in range(4)
+            for dr, dc in ((0, 1), (1, 0)) if r + dr < 4 and c + dc < 4]
+    graphs.append(Graph(grid))
+    return graphs
+
+
 class TestGbcModified:
     def test_empty_cases(self, c4):
         pc = apsp(c4)
@@ -176,6 +273,10 @@ class TestGbcModified:
             gbc_modified(pc, [(2, 2)], [0])
         with pytest.raises(ContractViolationError):
             gbc_modified(pc, [(0, 9)], [0])
+        # non-integer endpoints used to be truncated to another pair
+        for bad in ([(0.7, 2)], [(True, 3)], [(0, 2.9)]):
+            with pytest.raises(ContractViolationError):
+                gbc_modified(pc, bad, [1])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_enumeration(self, seed):

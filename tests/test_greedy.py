@@ -130,6 +130,8 @@ class TestGreedyModified:
             greedy_modified(inst, candidates=[7])
         with pytest.raises(ContractViolationError):
             greedy_modified(inst, candidates=[1.5, 3])
+        with pytest.raises(ContractViolationError):
+            greedy_modified(inst, candidates=[True, False])
 
     def test_threads_match_sequential(self, seed=3):
         g = gen_random(9, 0.35, seed=seed)
