@@ -116,9 +116,9 @@ class GbcOracle:
 
     gains() sweeps when its pool holds more than
     _SWEEP_LEVEL_COST * levels non-members, and uses the slab
-    otherwise.  A call that prices every non-member leaves the
-    all-node vector in a cache; later gains() and gain() calls read
-    it, copy() shares it, and add() drops it.  gain(v) is gains([v]).
+    otherwise.  Only the sweep fills the cache: it leaves its all-node
+    vector there, later gains() and gain() calls read it, copy()
+    shares it, and add() drops it.  gain(v) is gains([v]).
 
     add() is the only mutator of the member set and the counts.
     gains() may fill the cache, but it stores a finished read-only
@@ -200,15 +200,10 @@ class GbcOracle:
         )
         vec = self._gain_all
         if vec is None:
-            if len(fresh) > _SWEEP_LEVEL_COST * self._levels:
-                vec = self._sweep_gains()
-            else:
+            if len(fresh) <= _SWEEP_LEVEL_COST * self._levels:
                 out[fresh] = self._slab_gains(ids[fresh])
-                # the vector is complete only once every non-member is priced
-                if np.unique(ids[fresh]).size + len(self._members) < self.pc.n:
-                    return out
-                vec = np.zeros(self.pc.n, dtype=np.float64)
-                vec[ids[fresh]] = out[fresh]
+                return out
+            vec = self._sweep_gains()
             vec.setflags(write=False)
             self._gain_all = vec
         out[fresh] = vec[ids[fresh]]

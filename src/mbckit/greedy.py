@@ -160,15 +160,15 @@ def _ratio_augment(oracle: GbcOracle, inst: CostedInstance, pool) -> list[int]:
     return added
 
 
-def _best_single(inst: CostedInstance, singles: np.ndarray) -> tuple[int, float] | None:
+def _best_single(inst: CostedInstance, oracle: GbcOracle) -> tuple[int, float] | None:
     """Best affordable single node by GBC, ties to the smallest id.
 
-    singles[v] is GBC({v}), the gains of the empty oracle.
+    The oracle must be empty, so that its gains are the GBC of each node.
     """
     afford = [v for v in range(inst.graph.n) if inst.cost[v] <= inst.budget]
     if not afford:
         return None
-    vals = singles[afford]
+    vals = oracle.gains(afford)
     at = _pick_max(afford, vals, _tie_tol(inst.graph.n))
     return afford[at], float(vals[at])
 
@@ -182,13 +182,13 @@ def greedy_ratio(inst: CostedInstance, pc: PathCounts | None = None) -> Solution
     """
     pc = _resolve_pc(inst, pc)
     oracle = GbcOracle(pc)
-    # pricing every node caches the vector that the scan's first step reads
-    singles = oracle.gains(range(inst.graph.n))
+    # priced on the empty oracle; a swept pool leaves the vector that
+    # the scan's first step reads
+    single = _best_single(inst, oracle)
     added = _ratio_augment(oracle, inst, range(inst.graph.n))
     nodes = tuple(sorted(added))
     value = float(oracle.base_value)
     order = tuple(added)
-    single = _best_single(inst, singles)
     if single is not None and single[1] > value + _tie_tol(inst.graph.n):
         v, value = single
         nodes = (v,)

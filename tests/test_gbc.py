@@ -155,10 +155,15 @@ class TestOracle:
             assert np.abs(slab - sweep[part]).max() <= 1e-12 * scale
             assert np.abs(slab - np.take(want, part)).max() <= 1e-9 * scale
             lo += len(part)
-        # a large pool on a low-diameter graph takes the sweep, and caches it
+        assert oracle._gain_all is None  # only the sweep fills the cache
+        # a full pool on a random graph takes the sweep and caches it; on
+        # the path and the grid it fits the slab, which caches nothing
+        full = oracle.gains(pool)
+        assert (oracle._gain_all is not None) == (case < 4)
         if case < 4:
-            assert oracle.gains(pool).tolist() == sweep.tolist()
-            assert oracle._gain_all is not None
+            assert full.tolist() == sweep.tolist()
+        else:
+            assert np.abs(full - sweep).max() <= 1e-12 * scale
 
     def test_add_drops_cached_gains(self):
         g = gen_random(30, 0.2, seed=71)

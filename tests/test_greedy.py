@@ -7,6 +7,7 @@ import pytest
 from mbckit import (
     ContractViolationError,
     CostedInstance,
+    GbcOracle,
     apsp,
     gbc_direct,
     greedy_modified,
@@ -98,6 +99,15 @@ class TestGreedyRatio:
         inst = make_instance(p3, costs=[5, 5, 5], budget=1)
         sol = greedy_ratio(inst)
         assert sol.nodes == () and sol.gbc == 0.0
+
+    def test_unaffordable_everything_prices_nothing(self, p3, monkeypatch):
+        calls = []
+        real = GbcOracle.gains
+        monkeypatch.setattr(GbcOracle, "gains", lambda o, c: calls.append(c) or real(o, c))
+        greedy_ratio(make_instance(p3, costs=[5, 5, 5], budget=1))
+        assert calls == []
+        greedy_ratio(make_instance(p3, costs=[5, 1, 5], budget=1))
+        assert calls and list(calls[0]) == [1]  # only the affordable node
 
     @pytest.mark.parametrize("seed", range(15))
     def test_guarantee_against_brute_force(self, seed):
