@@ -17,6 +17,19 @@ are precisely the top-by-top products.
 Nodes with three or more children are expanded into a chain of binary
 gates that stand in for the original node atomically; the last gate
 carries the original's cost and identity.
+
+A join reads closed rows only ("cover at least sigma"), and a closed
+row is nondecreasing, so it joins only at step ends: columns whose
+successor costs strictly more, or the last finite one.  A candidate
+(s1, s2) whose s1 is not a step end is matched at the same cost by
+(s1 + 1, s2) one column further on, and likewise for s2, so it is never
+the largest column attaining a closed minimum, which is the only column
+that reconstruction reads.  Per node the fill retains only what
+reconstruction reads: int32 closedsrc and Marg, plus int32 chm1/chs1 on
+binary and chain nodes.  A child's float64 closed rows and M are
+released once its parent is filled; the root keeps them.  The fill
+refuses up front, with CapExceededError, a tree whose tables would
+need more than _TABLE_BYTES_CAP bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, NotATreeError
+from .errors import CapExceededError, ConsistencyError, ContractViolationError, NotATreeError
 from .gbc import gbc_direct
 from .graph import CostedInstance, Graph, apsp
 from .greedy import Solution
@@ -170,6 +183,27 @@ def _kind(node: TreeNode) -> str:
     return "binary"
 
 
+# Refuse a tree whose tables would need more than this (bytes).
+_TABLE_BYTES_CAP = 1 << 30
+
+
+def _table_bytes(tree: RootedTree) -> int:
+    """Bytes the fill needs, from the binarized subtree sizes alone.
+
+    Every node retains an int32 closedsrc cell per (m, sigma); binary
+    and chain nodes also retain int32 chm1 and chs1.  On top come the
+    float64 rows alive while the largest node fills: its own, closed in
+    place, and its children's closed rows, which are fewer cells.
+    """
+    retained = largest = 0
+    for node in tree.nodes:
+        R = node.subtree_size
+        cells = (R + 1) * (R * (R - 1) // 2 + 1)
+        retained += cells * (4 if _kind(node) in ("leaf", "unary") else 12)
+        largest = max(largest, cells)
+    return retained + 16 * largest
+
+
 class _NodeTable:
     __slots__ = ("closed", "closedsrc", "chm1", "chs1", "M", "Marg", "cap", "R", "kind")
 
@@ -186,42 +220,75 @@ class _NodeTable:
 
 
 def _close_rows(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix-minimize each row over sigma ("cover at least sigma"),
-    remembering which exact column realizes each closed entry."""
+    """Suffix-minimize each row over sigma ("cover at least sigma") in
+    place, remembering which exact column realizes each closed entry.
+
+    That column is the largest one attaining the suffix minimum, which
+    is the first step end at or after sigma: a column whose closed
+    successor costs strictly more, or the last column if finite.
+    Columns with no finite entry from them on point one past the row.
+    """
     L = vals.shape[1]
-    rev = vals[:, ::-1]
-    acc = np.minimum.accumulate(rev, axis=1)
-    prev = np.concatenate([np.full((vals.shape[0], 1), np.inf), acc[:, :-1]], axis=1)
-    is_new = rev < prev
-    src_rev = np.where(is_new, np.arange(L)[None, :], -1)
-    src_rev = np.maximum.accumulate(src_rev, axis=1)
-    closed = acc[:, ::-1].copy()
-    closedsrc = (L - 1 - src_rev)[:, ::-1].copy()
-    return closed, closedsrc
+    np.minimum.accumulate(vals[:, ::-1], axis=1, out=vals[:, ::-1])
+    ends = np.empty(vals.shape, dtype=bool)
+    np.less(vals[:, :-1], vals[:, 1:], out=ends[:, :-1])
+    ends[:, -1] = np.isfinite(vals[:, -1])
+    closedsrc = np.where(ends, np.arange(L, dtype=np.int32), np.int32(L))
+    np.minimum.accumulate(closedsrc[:, ::-1], axis=1, out=closedsrc[:, ::-1])
+    return vals, closedsrc
 
 
-def _combine(dest, dm1, ds1, row_a, row_b, off, m1):
-    """dest[s1 + s2 + off] = min over s1, s2 of row_a[s1] + row_b[s2],
-    recording the winning (m1, s1) for reconstruction."""
-    lb = len(row_b)
-    for s1 in np.flatnonzero(np.isfinite(row_a)):
-        cand = row_a[s1] + row_b
-        lo = int(s1) + off
-        cur = dest[lo : lo + lb]
-        better = cand < cur
+def _steps(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step ends of a closed row and their costs.
+
+    A closed row is nondecreasing, so its finite entries form a prefix.
+    A step end is a finite column whose successor costs strictly more
+    or is infinite.
+    """
+    n = int(np.searchsorted(row, np.inf))
+    if n == 0:
+        ends = np.zeros(0, dtype=np.intp)
+    else:
+        ends = np.append(np.flatnonzero(row[1:n] > row[: n - 1]), n - 1)
+    return ends, row[ends]
+
+
+def _combine(dest, dm1, ds1, steps_a, steps_b, off, m1):
+    """dest[s1 + s2 + off] = min over step ends s1, s2 of row_a[s1] + row_b[s2],
+    recording the first winning (m1, s1) for reconstruction; steps_a and
+    steps_b are the _steps of the closed rows row_a and row_b."""
+    ends_b, vals_b = steps_b
+    for s1, v1 in zip(*(a.tolist() for a in steps_a)):
+        cols = ends_b + (s1 + off)
+        cand = v1 + vals_b
+        better = cand < dest[cols]
         if better.any():
-            cur[better] = cand[better]
-            dm1[lo : lo + lb][better] = m1
-            ds1[lo : lo + lb][better] = s1
+            cols = cols[better]
+            dest[cols] = cand[better]
+            dm1[cols] = m1
+            ds1[cols] = s1
 
 
 class DpTable:
-    """Per-node cost tables over (top-node count, covered-pair demand)."""
+    """Per-node cost tables over (top-node count, covered-pair demand).
+
+    Joins run over the step ends of closed rows only (see the module
+    docstring).  Each node keeps its int32 traceback state; the float64
+    closed rows and M survive at the root alone, so cost() answers for
+    the root only.
+    """
 
     def __init__(self, tree: RootedTree):
         self.tree = tree
         self.tables: list[_NodeTable] = [None] * len(tree.nodes)
         self.trace: dict[int, tuple[int, int]] = {}
+        need = _table_bytes(tree)
+        if need > _TABLE_BYTES_CAP:
+            raise CapExceededError(
+                f"tree DP tables need about {need / 2**20:.0f} MiB, "
+                f"above the {_TABLE_BYTES_CAP / 2**20:.0f} MiB cap",
+                need,
+            )
         self._fill_all()
 
     def _fill_all(self) -> None:
@@ -241,8 +308,6 @@ class DpTable:
         nt = _NodeTable(R, kind)
         cap = nt.cap
         vals = np.full((R + 1, cap + 1), np.inf)
-        chm1 = np.full((R + 1, cap + 1), -1, dtype=np.int32)
-        chs1 = np.full((R + 1, cap + 1), -1, dtype=np.int32)
 
         if kind == "leaf":
             vals[1, 0] = 0.0
@@ -255,40 +320,55 @@ class DpTable:
                 credit = Rc - m1
                 vals[m, credit : credit + ct.cap + 1] = ct.closed[m1]
             vals[0, Rc : Rc + ct.cap + 1] = node.cost + ct.M
-        elif kind == "binary":
+        else:
             t1 = self.tables[node.children[0]]
             t2 = self.tables[node.children[1]]
             R1, R2 = t1.R, t2.R
-            sbar = (R1 + 1) * (R2 + 1) - 1
-            for m1 in range(R1 + 1):
-                for m2 in range(R2 + 1):
-                    off = sbar - ((m1 + 1) * (m2 + 1) - 1)
-                    m = m1 + m2 + 1
-                    _combine(vals[m], chm1[m], chs1[m], t1.closed[m1], t2.closed[m2], off, m1)
-            base = np.full(cap + 1, np.inf)
-            _combine(base, chm1[0], chs1[0], t1.M, t2.M, sbar, -2)
-            vals[0] = node.cost + base
-        else:  # chain gate
-            t1 = self.tables[node.children[0]]
-            t2 = self.tables[node.children[1]]
-            R1, R2 = t1.R, t2.R
-            sbar = R1 * R2
-            for m1 in range(R1 + 1):
-                for m2 in range(1, R2 + 1):
-                    off = sbar - m1 * m2
-                    m = m1 + m2
-                    _combine(vals[m], chm1[m], chs1[m], t1.closed[m1], t2.closed[m2], off, m1)
-            _combine(vals[0], chm1[0], chs1[0], t1.M, t2.closed[0], sbar, -2)
+            steps1 = [_steps(row) for row in t1.closed]
+            steps2 = [_steps(row) for row in t2.closed]
+            chm1 = np.full((R + 1, cap + 1), -1, dtype=np.int32)
+            chs1 = np.full((R + 1, cap + 1), -1, dtype=np.int32)
+            nt.chm1, nt.chs1 = chm1, chs1
+            if kind == "binary":
+                sbar = (R1 + 1) * (R2 + 1) - 1
+                for m1 in range(R1 + 1):
+                    for m2 in range(R2 + 1):
+                        off = sbar - ((m1 + 1) * (m2 + 1) - 1)
+                        m = m1 + m2 + 1
+                        _combine(vals[m], chm1[m], chs1[m], steps1[m1], steps2[m2], off, m1)
+                base = np.full(cap + 1, np.inf)
+                _combine(base, chm1[0], chs1[0], _steps(t1.M), _steps(t2.M), sbar, -2)
+                vals[0] = node.cost + base
+            else:  # chain gate
+                sbar = R1 * R2
+                for m1 in range(R1 + 1):
+                    for m2 in range(1, R2 + 1):
+                        off = sbar - m1 * m2
+                        m = m1 + m2
+                        _combine(vals[m], chm1[m], chs1[m], steps1[m1], steps2[m2], off, m1)
+                _combine(vals[0], chm1[0], chs1[0], _steps(t1.M), steps2[0], sbar, -2)
 
         nt.closed, nt.closedsrc = _close_rows(vals)
-        nt.chm1, nt.chs1 = chm1, chs1
         nt.M = nt.closed.min(axis=0)
         nt.Marg = nt.closed.argmin(axis=0).astype(np.int32)
         self.tables[idx] = nt
+        for c in node.children:
+            self.tables[c].closed = self.tables[c].M = None
 
     def cost(self, idx: int, sigma: int, m: int) -> float:
-        """Cheapest cost covering at least sigma pairs with at least m tops."""
+        """Cheapest cost covering at least sigma pairs with at least m tops.
+
+        Answers for the root only: every other node's closed rows are
+        released once its parent is filled.
+        """
+        if not isinstance(sigma, (int, np.integer)) or isinstance(sigma, bool) or sigma < 0:
+            raise ContractViolationError(f"sigma must be a nonnegative integer, got {sigma!r}")
         nt = self.tables[idx]
+        if nt.closed is None:
+            raise ContractViolationError(
+                f"node {idx}'s cost rows were released once its parent was filled; "
+                "cost() answers for the root only"
+            )
         if sigma > nt.cap or m > nt.R:
             return float("inf")
         if m <= 0:

@@ -74,6 +74,14 @@ class TestSolveCommand:
         assert code == 3
         assert "error" in err
 
+    def test_tree_algo_refuses_oversized_tables(self, capsys, tmp_path):
+        path = tmp_path / "p400.txt"
+        path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(399)))
+        code, out, err = run(capsys, "solve", "-g", str(path), "--budget", "3", "--algo", "tree")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
     def test_missing_budget(self, capsys, c4_file):
         code, _, err = run(capsys, "solve", "-g", c4_file, "--algo", "exact")
         assert code == 3
