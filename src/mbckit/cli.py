@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     ga = gsub.add_parser("apx")
     ga.add_argument("-g", "--graph", required=True)
     ga.add_argument("--l", type=int)
-    ga.add_argument("--eps", type=float)
     ga.add_argument("--k", type=int, default=1)
     ga.add_argument("-o", "--out", required=True)
     gr = gsub.add_parser("random")
@@ -164,7 +163,7 @@ def _cmd_gen(args) -> int:
         written += [inst_path, meta_path]
     elif args.kind == "apx":
         base = parse_graph(_read(args.graph))
-        big, meta = gen_apx(base, k=args.k, l=args.l, eps=args.eps)
+        big, meta = gen_apx(base, k=args.k, l=args.l)
         inst_path = out.with_suffix(".json")
         inst_path.write_text(to_instance_json(big, cost=np.ones(big.n), budget=float(args.k)))
         meta_path = out.with_name(out.name + ".meta.json")

@@ -7,7 +7,9 @@ Three variants share one inner loop:
 * greedy_ratio: budgeted gain/cost scan from the empty set, with a
   best-affordable-single-node fallback.
 * greedy_modified: the ratio scan restarted from every initialization of
-  at most three nodes, keeping the best outcome.
+  at most three nodes, keeping the best outcome.  The initializations
+  come from _subsets, the depth-first subset walk that solve_exact
+  also runs.
 
 Tie-breaking is everywhere by smallest node id.  Ties are detected
 with a small absolute tolerance: the coverage bridge recomputes the
@@ -17,9 +19,8 @@ would let last-bit noise pick different argmaxes on the two sides.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,6 +203,30 @@ def greedy_ratio(inst: CostedInstance, pc: PathCounts | None = None) -> Solution
     )
 
 
+def _subsets(oracle, cand, costs, budget, size, seed=(), spent=0.0):
+    """Every affordable subset of the sorted pool cand with at most size
+    nodes, each added to seed, walked depth-first in lexicographic order.
+
+    Yields (subset, oracle) after all of that subset's extensions, so the
+    caller may mutate the yielded oracle: each child is its parent's
+    copy() plus one add(), and all of them were copied already.  A node
+    fits while the running float spent + cost stays within the budget.
+    A subset that covers every pair is not extended, as no extension can
+    beat it.
+    """
+    full = float(oracle.pc.n * (oracle.pc.n - 1))
+    if len(seed) < size and oracle.base_value < full - 1e-9:
+        for j, v in enumerate(cand):
+            c = float(costs[v])
+            if spent + c <= budget:
+                child = oracle.copy()
+                child.add(v)
+                yield from _subsets(
+                    child, cand[j + 1 :], costs, budget, size, seed + (v,), spent + c
+                )
+    yield seed, oracle
+
+
 def greedy_modified(
     inst: CostedInstance,
     candidates=None,
@@ -210,35 +235,45 @@ def greedy_modified(
 ) -> Solution:
     """Ratio greedy restarted from every affordable seed of at most 3 nodes.
 
-    Seeds are enumerated by size then lexicographically; the first
-    strictly-better value wins, so ties resolve to the smallest seed.
-    `candidates` restricts both the seeds and the augmentation pool.
-    Initializations are independent; `threads` evaluates them in a
-    thread pool with a deterministic sequential merge.
+    Seeds come from one depth-first walk (_subsets), so each seed prefix
+    is added once, and each restart augments its seed's oracle in place.
+    The outcomes are ranked by seed size, then lexicographically; the
+    first strictly-better value wins, so ties resolve to the smallest
+    seed.  `candidates` restricts both the seeds and the augmentation
+    pool.  `threads` walks the branches under each first node in a
+    thread pool; the empty seed augments the shared root oracle last,
+    once every branch has copied it.
     """
+    integral = isinstance(threads, (int, np.integer)) and not isinstance(threads, bool)
+    if threads is not None and not (integral and threads >= 1):
+        raise ContractViolationError(f"threads must be an integer >= 1, got {threads!r}")
     cand = _candidate_pool(inst.graph, candidates)
     pc = _resolve_pc(inst, pc)
     base = GbcOracle(pc)
+    costs, budget = inst.cost, inst.budget
 
-    seeds = [
-        combo
-        for size in range(0, 4)
-        for combo in itertools.combinations(cand, size)
-        if inst.cost_of(combo) <= inst.budget
-    ]
-
-    def run(seed: tuple[int, ...]):
-        oracle = base.copy()
-        for v in seed:
-            oracle.add(v)
+    def restart(seed: tuple[int, ...], oracle: GbcOracle):
         added = _ratio_augment(oracle, inst, [u for u in cand if u not in seed])
-        return float(oracle.base_value), seed, tuple(seed) + tuple(added)
+        return float(oracle.base_value), seed, seed + tuple(added)
+
+    def branch(j: int) -> list:
+        # every seed whose first node is cand[j]
+        v = cand[j]
+        c = float(costs[v])
+        if c > budget:
+            return []
+        oracle = base.copy()
+        oracle.add(v)
+        walk = _subsets(oracle, cand[j + 1 :], costs, budget, 3, (v,), c)
+        return [restart(seed, o) for seed, o in walk]
 
     if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, seeds))
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            branches = list(pool.map(branch, range(len(cand))))
     else:
-        results = [run(seed) for seed in seeds]
+        branches = list(map(branch, range(len(cand))))
+    results = [r for rs in branches for r in rs] + [restart((), base)]
+    results.sort(key=lambda r: (len(r[1]), r[1]))
 
     best_value, best_seed, best_order = results[0]
     for value, seed, order in results[1:]:

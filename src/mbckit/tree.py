@@ -329,24 +329,19 @@ class DpTable:
             chm1 = np.full((R + 1, cap + 1), -1, dtype=np.int32)
             chs1 = np.full((R + 1, cap + 1), -1, dtype=np.int32)
             nt.chm1, nt.chs1 = chm1, chs1
-            if kind == "binary":
-                sbar = (R1 + 1) * (R2 + 1) - 1
-                for m1 in range(R1 + 1):
-                    for m2 in range(R2 + 1):
-                        off = sbar - ((m1 + 1) * (m2 + 1) - 1)
-                        m = m1 + m2 + 1
-                        _combine(vals[m], chm1[m], chs1[m], steps1[m1], steps2[m2], off, m1)
-                base = np.full(cap + 1, np.inf)
-                _combine(base, chm1[0], chs1[0], _steps(t1.M), _steps(t2.M), sbar, -2)
-                vals[0] = node.cost + base
-            else:  # chain gate
-                sbar = R1 * R2
-                for m1 in range(R1 + 1):
-                    for m2 in range(1, R2 + 1):
-                        off = sbar - m1 * m2
-                        m = m1 + m2
-                        _combine(vals[m], chm1[m], chs1[m], steps1[m1], steps2[m2], off, m1)
-                _combine(vals[0], chm1[0], chs1[0], _steps(t1.M), steps2[0], sbar, -2)
+            # a binary node owns one more top node; a chain gate owns none
+            e = int(kind == "binary")
+            sbar = R1 * R2 + e * (R1 + R2)
+            for m1 in range(R1 + 1):
+                for m2 in range(1 - e, R2 + 1):
+                    off = sbar - (m1 * m2 + e * (m1 + m2))
+                    m = m1 + m2 + e
+                    _combine(vals[m], chm1[m], chs1[m], steps1[m1], steps2[m2], off, m1)
+            base = np.full(cap + 1, np.inf)
+            right = _steps(t2.M) if e else steps2[0]
+            _combine(base, chm1[0], chs1[0], _steps(t1.M), right, sbar, -2)
+            # non-tail gates cost 0.0, which leaves base's bits unchanged
+            vals[0] = node.cost + base
 
         nt.closed, nt.closedsrc = _close_rows(vals)
         nt.M = nt.closed.min(axis=0)
@@ -413,36 +408,23 @@ class DpTable:
                 continue
             c1, c2 = node.children
             t1, t2 = self.tables[c1], self.tables[c2]
-            if kind == "binary":
-                sbar = (t1.R + 1) * (t2.R + 1) - 1
-                if m >= 1:
-                    m1 = int(nt.chm1[m, se])
-                    s1 = int(nt.chs1[m, se])
-                    m2 = m - 1 - m1
-                    off = sbar - ((m1 + 1) * (m2 + 1) - 1)
-                    push(c1, m1, s1)
-                    push(c2, m2, se - off - s1)
-                else:
+            e = int(kind == "binary")
+            sbar = t1.R * t2.R + e * (t1.R + t2.R)
+            if m >= 1:
+                m1 = int(nt.chm1[m, se])
+                s1 = int(nt.chs1[m, se])
+                m2 = m - e - m1
+                off = sbar - (m1 * m2 + e * (m1 + m2))
+                push(c1, m1, s1)
+                push(c2, m2, se - off - s1)
+            else:
+                if e:
                     owner = node.graph_node if node.graph_node is not None else node.chain_group
                     chosen.add(owner)
-                    s1 = int(nt.chs1[0, se])
-                    s2 = se - sbar - s1
-                    push(c1, int(t1.Marg[s1]), s1)
-                    push(c2, int(t2.Marg[s2]), s2)
-            else:  # chain gate
-                sbar = t1.R * t2.R
-                if m >= 1:
-                    m1 = int(nt.chm1[m, se])
-                    s1 = int(nt.chs1[m, se])
-                    m2 = m - m1
-                    off = sbar - m1 * m2
-                    push(c1, m1, s1)
-                    push(c2, m2, se - off - s1)
-                else:
-                    s1 = int(nt.chs1[0, se])
-                    s2 = se - sbar - s1
-                    push(c1, int(t1.Marg[s1]), s1)
-                    push(c2, 0, s2)
+                s1 = int(nt.chs1[0, se])
+                s2 = se - sbar - s1
+                push(c1, int(t1.Marg[s1]), s1)
+                push(c2, int(t2.Marg[s2]) if e else 0, s2)
         return chosen, sigma_star
 
 

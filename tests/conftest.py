@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from mbckit import CostedInstance, Graph
+from mbckit.generators import gen_random
 
 
 @pytest.fixture
@@ -35,3 +38,24 @@ def star4():
 def make_instance(g, costs=None, budget=1.0):
     cost = np.ones(g.n) if costs is None else np.asarray(costs, dtype=np.float64)
     return CostedInstance(g, cost, float(budget))
+
+
+def walk_case(seed):
+    """A seeded gen_random instance and candidate pool (None or a whitelist).
+
+    Costs cycle by seed through unit, integer, and fractional-or-zero.
+    """
+    rng = random.Random(seed + 7000)
+    g = gen_random(rng.randint(4, 10), 0.4, seed=seed + 91)
+    kind = seed % 3
+    if kind == 0:
+        costs = [1.0] * g.n
+        budget = float(rng.randint(1, 4))
+    elif kind == 1:
+        costs = [float(rng.randint(1, 4)) for _ in range(g.n)]
+        budget = float(rng.randint(1, 8))
+    else:
+        costs = [rng.choice([0.0, 0.1, 0.7, 1.3, 2.05]) for _ in range(g.n)]
+        budget = rng.uniform(0.5, 4.0)
+    cand = sorted(rng.sample(range(g.n), rng.randint(2, g.n))) if seed % 2 else None
+    return make_instance(g, costs=costs, budget=budget), cand

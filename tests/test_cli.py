@@ -82,6 +82,16 @@ class TestSolveCommand:
         assert out == ""
         assert "cap" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_invalid_threads_is_exit_three(self, capsys, c4_file, threads):
+        code, out, err = run(
+            capsys, "solve", "-g", c4_file, "--budget", "2", "--algo", "modified",
+            f"--threads={threads}",
+        )
+        assert code == 3
+        assert out == ""
+        assert "threads" in err
+
     def test_missing_budget(self, capsys, c4_file):
         code, _, err = run(capsys, "solve", "-g", c4_file, "--algo", "exact")
         assert code == 3

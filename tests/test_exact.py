@@ -7,15 +7,59 @@ from mbckit import (
     CapExceededError,
     ContractViolationError,
     CostedInstance,
+    GbcOracle,
     Graph,
     apsp,
     solve_exact,
 )
 from mbckit.exact import MAX_CANDIDATES
 from mbckit.generators import gen_random
+from mbckit.greedy import _candidate_pool
 
-from conftest import make_instance
+from conftest import make_instance, walk_case
 from oracle_utils import opt_brute
+
+
+def exact_reference(inst, candidates=None):
+    """solve_exact's own recursion, as before the shared subset walk.
+
+    Returns (nodes, gbc).
+    """
+    cand = _candidate_pool(inst.graph, candidates)
+    costs, budget = inst.cost, inst.budget
+    n = inst.graph.n
+    full = float(n * (n - 1))
+    suffix_min = np.empty(len(cand) + 1)
+    suffix_min[-1] = np.inf
+    for i in range(len(cand) - 1, -1, -1):
+        suffix_min[i] = min(costs[cand[i]], suffix_min[i + 1])
+    best = [0.0, 0, ()]
+
+    def consider(value, chosen):
+        size, tup = len(chosen), tuple(chosen)
+        if value > best[0] or (
+            value == best[0] and (size < best[1] or (size == best[1] and tup < best[2]))
+        ):
+            best[0], best[1], best[2] = value, size, tup
+
+    def descend(i, oracle, spent, chosen):
+        for j in range(i, len(cand)):
+            if spent + suffix_min[j] > budget:
+                break
+            v = cand[j]
+            c = float(costs[v])
+            if spent + c > budget:
+                continue
+            branch = oracle.copy()
+            branch.add(v)
+            chosen.append(v)
+            consider(branch.base_value, chosen)
+            if branch.base_value < full - 1e-9:
+                descend(j + 1, branch, spent + c, chosen)
+            chosen.pop()
+
+    descend(0, GbcOracle(apsp(inst.graph)), 0.0, [])
+    return best[2], float(best[0])
 
 
 class TestFrozenCases:
@@ -59,6 +103,14 @@ class TestInputChecks:
                 solve_exact(inst, candidates=bad)
         with pytest.raises(ContractViolationError):
             solve_exact(inst, candidates=[True, False])
+
+
+class TestWalkMatchesRecursion:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_set_and_value(self, seed):
+        inst, cand = walk_case(seed)
+        sol = solve_exact(inst, candidates=cand)
+        assert (sol.nodes, sol.gbc) == exact_reference(inst, cand)
 
 
 class TestBruteForceEquivalence:

@@ -128,9 +128,6 @@ class TestApx:
     def test_auto_mode_requires_eps(self, p3):
         with pytest.raises(ContractViolationError):
             gen_apx(p3, k=1)
-        big, meta = gen_apx(p3, k=1, eps=0.5)
-        assert meta.l == 2
-        assert meta.calibrated_c == pytest.approx(2 * 0.5 / p3.m**2)
 
     def test_meta_serialization(self, p3):
         _, meta = gen_apx(p3, k=1, l=1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,13 +15,50 @@ from mbckit import (
     greedy_ratio,
     greedy_unit,
 )
-from mbckit.generators import gen_random
+from mbckit.generators import gen_random, gen_tight
+from mbckit.greedy import _candidate_pool, _ratio_augment
 
-from conftest import make_instance
+from conftest import make_instance, walk_case
 from oracle_utils import opt_brute
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 ONE_MINUS_INV_SQRT_E = 1.0 - 1.0 / math.sqrt(math.e)
+
+
+def modified_reference(inst, candidates=None):
+    """greedy_modified by per-seed replay, as before the depth-first walk.
+
+    Every affordable combination of at most 3 candidates, by size then
+    lexicographically, is added node by node to a fresh copy of the
+    empty oracle and augmented; the first strictly-better value wins.
+    Returns (nodes, gbc, init_seed, order).
+    """
+    cand = _candidate_pool(inst.graph, candidates)
+    base = GbcOracle(apsp(inst.graph))
+    seeds = [
+        combo
+        for size in range(0, 4)
+        for combo in itertools.combinations(cand, size)
+        if inst.cost_of(combo) <= inst.budget
+    ]
+    best = None
+    for seed in seeds:
+        oracle = base.copy()
+        for v in seed:
+            oracle.add(v)
+        added = _ratio_augment(oracle, inst, [u for u in cand if u not in seed])
+        value = float(oracle.base_value)
+        if best is None or value > best[1]:
+            best = (seed, value, tuple(seed) + tuple(added))
+    seed, value, order = best
+    return tuple(sorted(order)), value, seed, order
+
+
+def count_adds(monkeypatch) -> list:
+    adds = []
+    real = GbcOracle.add
+    monkeypatch.setattr(GbcOracle, "add", lambda o, v: adds.append(v) or real(o, v))
+    return adds
 
 
 class TestGreedyUnit:
@@ -151,6 +189,33 @@ class TestGreedyModified:
         a = greedy_modified(inst)
         b = greedy_modified(inst, threads=3)
         assert (a.nodes, a.gbc, a.init_seed, a.order) == (b.nodes, b.gbc, b.init_seed, b.order)
+
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "2"])
+    def test_rejects_invalid_threads(self, c4, bad):
+        with pytest.raises(ContractViolationError):
+            greedy_modified(make_instance(c4, budget=2), threads=bad)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_walk_matches_per_seed_replay(self, seed):
+        inst, cand = walk_case(seed)
+        want = modified_reference(inst, cand)
+        for threads in (None, 3):
+            sol = greedy_modified(inst, candidates=cand, threads=threads)
+            assert (sol.nodes, sol.gbc, sol.init_seed, sol.order) == want
+
+    def test_walk_adds_each_seed_prefix_once(self, monkeypatch):
+        g, meta = gen_tight(2)
+        inst = CostedInstance.unit(g, 2.0)
+        adds = count_adds(monkeypatch)
+        greedy_modified(inst, candidates=g.ids(meta.whitelist))
+        assert len(adds) == 37  # per-seed replay made 58
+
+    def test_full_coverage_ends_the_walk(self, star4, monkeypatch):
+        # the center alone covers every pair, so no seed extends it
+        adds = count_adds(monkeypatch)
+        sol = greedy_modified(make_instance(star4, budget=3))
+        assert len(adds) == 15  # per-seed replay made 35
+        assert (sol.nodes, sol.gbc, sol.init_seed) == ((0,), 12.0, ())
 
     def test_reports_seed_and_order(self, p4):
         inst = make_instance(p4, budget=2)
