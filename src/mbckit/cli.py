@@ -29,7 +29,7 @@ from .exact import solve_exact
 from .gbc import GbcOracle, gbc_direct
 from .generators import gen_apx, gen_random, gen_random_costs, gen_random_tree, gen_tight
 from .graph import CostedInstance, apsp, parse_graph, parse_instance, to_instance_json
-from .greedy import greedy_modified, greedy_ratio, greedy_unit
+from .greedy import audit_solution, greedy_modified, greedy_ratio, greedy_unit
 from .tree import tree_solve
 
 __all__ = ["main", "entry"]
@@ -106,6 +106,8 @@ def _cmd_gbc(args) -> int:
 
 
 def _solve_instance(inst: CostedInstance, algo: str, threads: int | None):
+    if threads is not None and algo != "modified":
+        raise ContractViolationError("--threads applies to --algo modified only")
     if algo == "unit":
         if not inst.unit_costs:
             raise ContractViolationError("--algo unit requires unit costs")
@@ -128,14 +130,7 @@ def _cmd_solve(args) -> int:
     start = time.perf_counter()
     sol = _solve_instance(inst, args.algo, args.threads)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    audit = gbc_direct(apsp(g), sol.nodes)
-    if abs(audit - sol.gbc) > 1e-9 * g.n * g.n:
-        raise ConsistencyError(
-            f"reported value {sol.gbc} fails re-evaluation ({audit})"
-        )
-    spent = inst.cost_of(sol.nodes)
-    if spent > inst.budget + 1e-9 * max(1.0, inst.budget):
-        raise ConsistencyError(f"chosen set costs {spent}, over the budget {inst.budget}")
+    audit_solution(inst, sol)
     report = {
         "n": g.n,
         "m": g.m,
@@ -191,7 +186,7 @@ def _cmd_gen(args) -> int:
 def _verify_reduction(inst: CostedInstance, rng: random.Random) -> None:
     g = inst.graph
     pc = apsp(g)
-    ci = reduce_to_coverage(inst, pc=pc)
+    ci = reduce_to_coverage(inst)
     tol = 1e-9 * g.n * g.n
     if g.n <= 9:
         groups = [
@@ -210,7 +205,7 @@ def _verify_reduction(inst: CostedInstance, rng: random.Random) -> None:
             )
     if inst.unit_costs:
         k = min(3, g.n)
-        node_side = greedy_unit(inst, k, pc=pc)
+        node_side = greedy_unit(inst, k)
         cov_side = coverage_greedy(ci, k=k)
         if node_side.order != cov_side.order:
             raise ConsistencyError("greedy selection sequences diverge across the bridge")
@@ -255,17 +250,16 @@ def _verify_ratio(inst: CostedInstance, rng: random.Random) -> None:
     g = inst.graph
     if g.n > 20:
         raise ContractViolationError("verify ratio needs at most 20 nodes")
-    pc = apsp(g)
     for _ in range(5):
         cost = np.array([float(rng.randint(0, 5)) for _ in range(g.n)])
         budget = float(rng.randint(1, max(1, int(cost.sum()))))
         trial = CostedInstance(g, cost, budget)
-        opt = solve_exact(trial, pc=pc).gbc
+        opt = solve_exact(trial).gbc
         lo_mod = (1 - 1 / np.e - 1e-9) * opt
         lo_rat = (1 - 1 / np.sqrt(np.e) - 1e-9) * opt
-        if greedy_modified(trial, pc=pc).gbc < lo_mod:
+        if greedy_modified(trial).gbc < lo_mod:
             raise ConsistencyError("modified greedy fell below its guarantee")
-        if greedy_ratio(trial, pc=pc).gbc < lo_rat:
+        if greedy_ratio(trial).gbc < lo_rat:
             raise ConsistencyError("ratio greedy fell below its guarantee")
 
 
@@ -298,11 +292,14 @@ def _cmd_bench(args) -> int:
         )
         opt = None
         if entry_.get("exact"):
-            opt = solve_exact(inst).gbc
+            best = solve_exact(inst)
+            audit_solution(inst, best)
+            opt = best.gbc
         for algo in entry_.get("algos", ["modified"]):
             start = time.perf_counter()
             sol = _solve_instance(inst, algo, threads=None)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
+            audit_solution(inst, sol)
             ratio = "" if not opt else f"{sol.gbc / opt:.6f}"
             writer.writerow(
                 [

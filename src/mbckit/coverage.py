@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ContractViolationError
-from .graph import CostedInstance, PathCounts, enumerate_shortest_paths
-from .greedy import _pick_max, _pick_ratio, _resolve_pc, _tie_tol
+from .graph import CostedInstance, apsp, enumerate_shortest_paths
+from .greedy import _pick_max, _pick_ratio, _tie_tol
 
 __all__ = [
     "CoverageInstance",
@@ -54,17 +54,15 @@ class CoverageInstance:
         return len(self.sets)
 
 
-def reduce_to_coverage(
-    inst: CostedInstance, pc: PathCounts | None = None, cap: int = MAX_ELEMENTS
-) -> CoverageInstance:
-    """Materialize the coverage instance of a costed graph.
+def reduce_to_coverage(inst: CostedInstance, cap: int = MAX_ELEMENTS) -> CoverageInstance:
+    """Materialize the coverage instance of a costed graph from apsp's counts.
 
     Elements are emitted pair by pair in lexicographic (s, t) order with
     paths in lexicographic node order, so the element numbering is
     deterministic.
     """
     g = inst.graph
-    pc = _resolve_pc(inst, pc)
+    pc = apsp(g)
     n = g.n
     total_paths = (float(pc.sigma.sum()) - n) / 2.0
     if total_paths > cap:
@@ -78,7 +76,7 @@ def reduce_to_coverage(
     for s in range(n):
         for t in range(s + 1, n):
             w = 2.0 / float(pc.sigma[s, t])
-            for path in enumerate_shortest_paths(g, s, t, pc=pc, cap=cap):
+            for path in enumerate_shortest_paths(g, s, t, cap=cap):
                 idx = len(pairs)
                 pairs.append((s, t))
                 weights.append(w)

@@ -11,19 +11,17 @@ speed; the candidate count is hard-capped.
 from __future__ import annotations
 
 from .errors import CapExceededError
-from .graph import CostedInstance, PathCounts
+from .graph import CostedInstance, apsp
 from .gbc import GbcOracle
-from .greedy import Solution, _candidate_pool, _resolve_pc, _subsets
+from .greedy import Solution, _candidate_pool, _subsets
 
 __all__ = ["solve_exact", "MAX_CANDIDATES"]
 
 MAX_CANDIDATES = 25
 
 
-def solve_exact(
-    inst: CostedInstance, candidates=None, pc: PathCounts | None = None
-) -> Solution:
-    """Globally optimal feasible set over the candidate pool.
+def solve_exact(inst: CostedInstance, candidates=None) -> Solution:
+    """Globally optimal feasible set over the candidate pool, by apsp's counts.
 
     Ties break toward smaller sets, then lexicographically smaller id
     tuples.  Default pool is every node; a whitelist lifts nothing but
@@ -35,7 +33,7 @@ def solve_exact(
             f"{len(cand)} candidates exceed the exhaustive-search cap {MAX_CANDIDATES}",
             len(cand),
         )
-    root = GbcOracle(_resolve_pc(inst, pc))
+    root = GbcOracle(apsp(inst.graph))
     walk = _subsets(root, cand, inst.cost, inst.budget, len(cand))
     neg_value, _, nodes = min((-o.base_value, len(s), s) for s, o in walk)
     return Solution(

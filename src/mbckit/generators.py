@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ContractViolationError
-from .graph import Graph
+from .graph import Graph, _is_int
 
 __all__ = [
     "TightInstanceMeta",
@@ -90,7 +90,7 @@ def gen_tight(k: int, l_s: int | None = None, l_t: int | None = None):
     carries the multiplicity matrix, the node roles, and the candidate
     whitelist (columns and rows).
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
+    if not (_is_int(k) and k >= 2):
         raise ContractViolationError("k must be an integer >= 2")
     k = int(k)
     l_s = 40 * k if l_s is None else int(l_s)
@@ -190,7 +190,7 @@ def gen_apx(g: Graph, k: int, l: int | None = None):
     essential pairs are all ordered pairs of copies of distinct base
     nodes.  Omitting `l` raises ContractViolationError, as l < 1 does.
     """
-    if not (isinstance(l, (int, np.integer)) and l >= 1):
+    if not (_is_int(l) and l >= 1):
         raise ContractViolationError("l must be an integer >= 1")
     l = int(l)
 

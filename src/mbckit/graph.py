@@ -3,8 +3,8 @@
 Graphs are undirected, unweighted, simple, and connected.  Node ids are
 dense integers assigned by first appearance in the edge list; the
 original labels are kept for reporting.  All-pairs hop distances and
-shortest-path counts are computed once per graph and shared read-only
-by every solver.
+shortest-path counts are computed once per graph by `apsp`, kept on
+the graph, and shared read-only by every solver.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
 class Graph:
     """Immutable undirected connected simple graph with dense node ids."""
 
-    __slots__ = ("n", "m", "labels", "id_of", "adj", "edge_list", "_csr")
+    __slots__ = ("n", "m", "labels", "id_of", "adj", "edge_list", "_csr", "_counts")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         id_of: dict[str, int] = {}
@@ -80,6 +80,7 @@ class Graph:
         self.adj = adj
         self.edge_list = tuple(sorted(pairs))
         self._csr = None
+        self._counts = None
         self._check_connected()
 
     def _check_connected(self) -> None:
@@ -148,10 +149,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _is_int(x) -> bool:
+    # bool is an int, but it masks as an index and reads as 0 or 1 as a count
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_node(g: Graph, v: int) -> None:
-    # bool is an int, but as an index it masks instead of picking a node
-    integral = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-    if not (integral and 0 <= v < g.n):
+    if not (_is_int(v) and 0 <= v < g.n):
         raise ContractViolationError(f"node id {v!r} out of range 0..{g.n - 1}")
 
 
@@ -193,11 +197,11 @@ class CostedInstance:
 
 @dataclass(frozen=True)
 class PathCounts:
-    """All-pairs hop distances and shortest-path counts.
+    """All-pairs hop distances and shortest-path counts of one graph.
 
     dist[v, v] = 0 and sigma[v, v] = 1 (the empty path).  sigma is kept
     in doubles: counts can grow exponentially, and every consumer only
-    ever forms ratios against it.
+    ever forms ratios against it.  apsp(g) wraps the arrays it keeps on g.
     """
 
     graph: Graph
@@ -244,14 +248,18 @@ def _level_sweep(
 
 def apsp(g: Graph) -> PathCounts:
     """Distances by breadth-first search, path counts by the level DP
-    sigma(s, t) = sum of sigma(s, w) over neighbors w of t one hop closer."""
-    A = g.csr()
-    dist = csgraph.shortest_path(A, method="D", unweighted=True, directed=False)
-    dist = dist.astype(np.int64)
-    sigma = _level_sweep(A, dist, np.eye(g.n))
-    dist.setflags(write=False)
-    sigma.setflags(write=False)
-    return PathCounts(g, dist, sigma)
+    sigma(s, t) = sum of sigma(s, w) over neighbors w of t one hop closer.
+    Computed once per graph: g keeps the bare read-only arrays, not this
+    PathCounts, which points back at g."""
+    if g._counts is None:
+        A = g.csr()
+        dist = csgraph.shortest_path(A, method="D", unweighted=True, directed=False)
+        dist = dist.astype(np.int64)
+        sigma = _level_sweep(A, dist, np.eye(g.n))
+        dist.setflags(write=False)
+        sigma.setflags(write=False)
+        g._counts = (dist, sigma)
+    return PathCounts(g, *g._counts)
 
 
 def on_shortest_path(pc: PathCounts, s: int, v: int, t: int) -> bool:
@@ -262,17 +270,16 @@ def on_shortest_path(pc: PathCounts, s: int, v: int, t: int) -> bool:
 
 
 def enumerate_shortest_paths(
-    g: Graph, s: int, t: int, pc: PathCounts | None = None, cap: int = 1_000_000
+    g: Graph, s: int, t: int, cap: int = 1_000_000
 ) -> list[list[int]]:
     """All shortest s-t paths as node-id sequences, lexicographically sorted.
 
-    Intended for small graphs and cross-checks only; refuses to expand
-    more than `cap` paths.
+    Reads apsp(g).  For small graphs and cross-checks only; refuses to
+    expand more than `cap` paths.
     """
     _check_node(g, s)
     _check_node(g, t)
-    if pc is None:
-        pc = apsp(g)
+    pc = apsp(g)
     total = float(pc.sigma[s, t])
     if total > cap:
         raise CapExceededError(

@@ -11,6 +11,9 @@ Three variants share one inner loop:
   come from _subsets, the depth-first subset walk that solve_exact
   also runs.
 
+All three read the graph's path counts from apsp.  audit_solution is
+the one answer check, run by the tree solver and the CLI.
+
 Tie-breaking is everywhere by smallest node id.  Ties are detected
 with a small absolute tolerance: the coverage bridge recomputes the
 same rational gains along a different float path, and exact comparison
@@ -24,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .gbc import GbcOracle
-from .graph import CostedInstance, Graph, PathCounts, _check_node, apsp
+from .errors import ConsistencyError, ContractViolationError
+from .gbc import GbcOracle, gbc_direct
+from .graph import CostedInstance, Graph, _check_node, _is_int, apsp
 
-__all__ = ["Solution", "greedy_unit", "greedy_ratio", "greedy_modified"]
+__all__ = ["Solution", "audit_solution", "greedy_unit", "greedy_ratio", "greedy_modified"]
 
 
 @dataclass(frozen=True)
@@ -44,12 +47,17 @@ class Solution:
     order: tuple[int, ...] = ()
 
 
-def _resolve_pc(inst: CostedInstance, pc: PathCounts | None) -> PathCounts:
-    if pc is None:
-        return apsp(inst.graph)
-    if pc.graph is not inst.graph:
-        raise ContractViolationError("path counts were built for a different graph")
-    return pc
+def audit_solution(inst: CostedInstance, sol: Solution) -> None:
+    """Raise ConsistencyError unless sol.gbc matches a fresh gbc_direct of
+    its nodes within 1e-9 * n^2 and their cost fits the budget within
+    1e-9 * max(1, budget)."""
+    g = inst.graph
+    audit = gbc_direct(apsp(g), sol.nodes)
+    if abs(audit - sol.gbc) > 1e-9 * g.n * g.n:
+        raise ConsistencyError(f"reported value {sol.gbc} fails re-evaluation ({audit})")
+    spent = inst.cost_of(sol.nodes)
+    if spent > inst.budget + 1e-9 * max(1.0, inst.budget):
+        raise ConsistencyError(f"chosen set costs {spent}, over the budget {inst.budget}")
 
 
 def _candidate_pool(g: Graph, candidates) -> list[int]:
@@ -101,15 +109,14 @@ def _pick_ratio(pool, gains, costs, tol: float) -> int:
     return 0
 
 
-def greedy_unit(inst: CostedInstance, k: int, pc: PathCounts | None = None) -> Solution:
-    """Fixed-size greedy: add the gain-maximizing node min(k, n) times."""
+def greedy_unit(inst: CostedInstance, k: int) -> Solution:
+    """Fixed-size greedy over apsp's counts: add the best-gain node min(k, n) times."""
     if not inst.unit_costs:
         raise ContractViolationError("greedy_unit requires unit costs")
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
+    if not (_is_int(k) and k >= 0):
         raise ContractViolationError("k must be a nonnegative integer")
     g = inst.graph
-    pc = _resolve_pc(inst, pc)
-    oracle = GbcOracle(pc)
+    oracle = GbcOracle(apsp(g))
     pool = list(range(g.n))
     tol = _tie_tol(g.n)
     order: list[int] = []
@@ -174,15 +181,14 @@ def _best_single(inst: CostedInstance, oracle: GbcOracle) -> tuple[int, float] |
     return afford[at], float(vals[at])
 
 
-def greedy_ratio(inst: CostedInstance, pc: PathCounts | None = None) -> Solution:
-    """Budgeted ratio greedy from the empty set.
+def greedy_ratio(inst: CostedInstance) -> Solution:
+    """Budgeted ratio greedy from the empty set, over apsp's counts.
 
     The scan alone can be arbitrarily bad when one expensive node
     dominates, so the result is compared against the best affordable
     single node and the scan only wins ties.
     """
-    pc = _resolve_pc(inst, pc)
-    oracle = GbcOracle(pc)
+    oracle = GbcOracle(apsp(inst.graph))
     # priced on the empty oracle; a swept pool leaves the vector that
     # the scan's first step reads
     single = _best_single(inst, oracle)
@@ -228,28 +234,23 @@ def _subsets(oracle, cand, costs, budget, size, seed=(), spent=0.0):
 
 
 def greedy_modified(
-    inst: CostedInstance,
-    candidates=None,
-    threads: int | None = None,
-    pc: PathCounts | None = None,
+    inst: CostedInstance, candidates=None, threads: int | None = None
 ) -> Solution:
     """Ratio greedy restarted from every affordable seed of at most 3 nodes.
 
-    Seeds come from one depth-first walk (_subsets), so each seed prefix
-    is added once, and each restart augments its seed's oracle in place.
-    The outcomes are ranked by seed size, then lexicographically; the
-    first strictly-better value wins, so ties resolve to the smallest
-    seed.  `candidates` restricts both the seeds and the augmentation
-    pool.  `threads` walks the branches under each first node in a
-    thread pool; the empty seed augments the shared root oracle last,
-    once every branch has copied it.
+    Seeds come from one depth-first walk (_subsets) over apsp's counts, so
+    each seed prefix is added once, and each restart augments its seed's
+    oracle in place.  The outcomes are ranked by seed size, then
+    lexicographically; the first strictly-better value wins, so ties
+    resolve to the smallest seed.  `candidates` restricts both the seeds
+    and the augmentation pool.  `threads` walks the branches under each
+    first node in a thread pool; the empty seed augments the shared root
+    oracle last, once every branch has copied it.
     """
-    integral = isinstance(threads, (int, np.integer)) and not isinstance(threads, bool)
-    if threads is not None and not (integral and threads >= 1):
+    if threads is not None and not (_is_int(threads) and threads >= 1):
         raise ContractViolationError(f"threads must be an integer >= 1, got {threads!r}")
     cand = _candidate_pool(inst.graph, candidates)
-    pc = _resolve_pc(inst, pc)
-    base = GbcOracle(pc)
+    base = GbcOracle(apsp(inst.graph))
     costs, budget = inst.cost, inst.budget
 
     def restart(seed: tuple[int, ...], oracle: GbcOracle):

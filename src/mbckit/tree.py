@@ -39,10 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError, ConsistencyError, ContractViolationError, NotATreeError
-from .gbc import gbc_direct
-from .graph import CostedInstance, Graph, apsp
-from .greedy import Solution
+from .errors import CapExceededError, ContractViolationError, NotATreeError
+from .graph import CostedInstance, Graph, _is_int
+from .greedy import Solution, audit_solution
 
 __all__ = ["TreeNode", "RootedTree", "root_tree", "binarize", "DpTable", "tree_solve", "tree_solve_full"]
 
@@ -356,7 +355,7 @@ class DpTable:
         Answers for the root only: every other node's closed rows are
         released once its parent is filled.
         """
-        if not isinstance(sigma, (int, np.integer)) or isinstance(sigma, bool) or sigma < 0:
+        if not (_is_int(sigma) and sigma >= 0):
             raise ContractViolationError(f"sigma must be a nonnegative integer, got {sigma!r}")
         nt = self.tables[idx]
         if nt.closed is None:
@@ -429,25 +428,17 @@ class DpTable:
 
 
 def tree_solve_full(inst: CostedInstance):
-    """Solve and also return the binarized tree and its table."""
-    g = inst.graph
-    rt = root_tree(g, inst.cost, root=0)
+    """Solve, audit_solution the answer, and return it with the binarized
+    tree and its table."""
+    rt = root_tree(inst.graph, inst.cost, root=0)
     bt = binarize(rt)
     table = DpTable(bt)
     chosen, sigma_star = table.reconstruct(inst.budget)
     nodes = tuple(sorted(chosen))
-    cost = inst.cost_of(nodes)
-    if cost > inst.budget:
-        raise ConsistencyError("reconstructed set exceeds the budget")
-    gbc = 2.0 * sigma_star
-    audit = gbc_direct(apsp(g), nodes)
-    if abs(audit - gbc) > 1e-9 * g.n * g.n:
-        raise ConsistencyError(
-            f"table value {gbc} disagrees with direct evaluation {audit}"
-        )
     sol = Solution(
-        nodes=nodes, cost=cost, gbc=gbc, algorithm="tree", order=nodes
+        nodes=nodes, cost=inst.cost_of(nodes), gbc=2.0 * sigma_star, algorithm="tree", order=nodes
     )
+    audit_solution(inst, sol)
     return sol, bt, table
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from mbckit import CostedInstance, Graph
 from mbckit.generators import gen_random
+from mbckit.graph import csgraph
 
 
 @pytest.fixture
@@ -33,6 +34,20 @@ def k4():
 def star4():
     # center c, leaves x y z
     return Graph([("c", "x"), ("c", "y"), ("c", "z")])
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """List that grows by one per BFS distance computation in apsp."""
+    calls = []
+    real = csgraph.shortest_path
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "shortest_path", counting)
+    return calls
 
 
 def make_instance(g, costs=None, budget=1.0):

@@ -171,29 +171,29 @@ def greedy_sweep(unit_corpus, costed_corpus):
     for g, k in unit_corpus:
         inst = CostedInstance.unit(g, float(k))
         pc = apsp(g)
-        opt = solve_exact(inst, pc=pc)
+        opt = solve_exact(inst)
         if idx % 15 == 0:
             want, _ = opt_brute(g.n, list(g.edge_list), [1.0] * g.n, k, max_size=k)
             if abs(opt.gbc - float(want)) > 1e-9 * g.n * g.n:
                 brute_mismatches += 1
         sols = [
-            greedy_unit(inst, k, pc=pc),
-            greedy_ratio(inst, pc=pc),
-            greedy_modified(inst, pc=pc),
+            greedy_unit(inst, k),
+            greedy_ratio(inst),
+            greedy_modified(inst),
         ]
         records.append({"inst": inst, "pc": pc, "opt": opt, "sols": sols})
         idx += 1
     for inst in costed_corpus:
         g = inst.graph
         pc = apsp(g)
-        opt = solve_exact(inst, pc=pc)
+        opt = solve_exact(inst)
         if idx % 15 == 0:
             want, _ = opt_brute(
                 g.n, list(g.edge_list), inst.cost.tolist(), inst.budget
             )
             if abs(opt.gbc - float(want)) > 1e-9 * g.n * g.n:
                 brute_mismatches += 1
-        sols = [greedy_ratio(inst, pc=pc), greedy_modified(inst, pc=pc)]
+        sols = [greedy_ratio(inst), greedy_modified(inst)]
         records.append({"inst": inst, "pc": pc, "opt": opt, "sols": sols})
         idx += 1
     return {
@@ -271,7 +271,7 @@ def test_criterion_3_reduction_identity(catalog, random9_corpus):
         for name, g in entries:
             pc = apsp(g)
             unit = CostedInstance.unit(g, float(min(3, g.n)))
-            ci = reduce_to_coverage(unit, pc=pc)
+            ci = reduce_to_coverage(unit)
             tol = 1e-9 * g.n * g.n
             for size in range(g.n + 1):
                 for group in itertools.combinations(range(g.n), size):
@@ -279,13 +279,13 @@ def test_criterion_3_reduction_identity(catalog, random9_corpus):
                     if abs(coverage_weight(ci, group) - gbc_direct(pc, group)) > tol:
                         bad_weight += 1
             k = min(3, g.n)
-            if coverage_greedy(ci, k=k).order != greedy_unit(unit, k, pc=pc).order:
+            if coverage_greedy(ci, k=k).order != greedy_unit(unit, k).order:
                 bad_sequence += 1
             costs = np.array([float(rng.randint(0, 5)) for _ in range(g.n)])
             budget = float(rng.randint(1, max(1, int(costs.sum()))))
             costed = CostedInstance(g, costs, budget)
-            ci2 = reduce_to_coverage(costed, pc=pc)
-            if coverage_greedy(ci2).order != greedy_ratio(costed, pc=pc).order:
+            ci2 = reduce_to_coverage(costed)
+            if coverage_greedy(ci2).order != greedy_ratio(costed).order:
                 bad_sequence += 1
         ok = bad_weight == 0 and bad_sequence == 0
         rec["ok"] = ok
@@ -355,12 +355,11 @@ def test_criterion_6_tightness_trend():
         results = []
         for k in (3, 4, 5):
             g, meta = gen_tight(k)
-            pc = apsp(g)
             whitelist = g.ids(meta.whitelist)
             rows = set(g.ids(meta.row_labels))
             inst = CostedInstance.unit(g, float(k))
-            opt = solve_exact(inst, candidates=whitelist, pc=pc)
-            greedy = greedy_modified(inst, candidates=whitelist, pc=pc, threads=4)
+            opt = solve_exact(inst, candidates=whitelist)
+            greedy = greedy_modified(inst, candidates=whitelist, threads=4)
             ratio = greedy.gbc / opt.gbc
             lo = 1.0 - 1.0 / math.e - 0.02
             hi = 1.0 - (1.0 - 1.0 / k) ** k + 0.02
@@ -422,7 +421,7 @@ def test_criterion_8_desk_scale_performance():
         t0 = time.perf_counter()
         pc = apsp(g)
         GbcOracle(pc)
-        sol = greedy_unit(CostedInstance.unit(g, 10.0), 10, pc=pc)
+        sol = greedy_unit(CostedInstance.unit(g, 10.0), 10)
         greedy_elapsed = time.perf_counter() - t0
         gt = gen_random_tree(40, seed=7)
         inst = CostedInstance.unit(gt, 10.0)
@@ -449,13 +448,12 @@ def test_tightness_mechanism():
     first picks on the k columns and lands strictly below."""
     k = 3
     g, meta = gen_tight(k, l_s=1100, l_t=550)
-    pc = apsp(g)
     whitelist = g.ids(meta.whitelist)
     rows = sorted(g.ids(meta.row_labels))
     cols = set(g.ids(meta.col_labels))
     inst = CostedInstance.unit(g, float(k + 3))
-    opt = solve_exact(inst, candidates=whitelist, pc=pc)
-    greedy = greedy_modified(inst, candidates=whitelist, pc=pc, threads=4)
+    opt = solve_exact(inst, candidates=whitelist)
+    greedy = greedy_modified(inst, candidates=whitelist, threads=4)
     assert sorted(opt.nodes) == rows
     assert cols <= set(greedy.nodes)
     assert greedy.gbc < opt.gbc

@@ -129,6 +129,11 @@ class TestApx:
         with pytest.raises(ContractViolationError):
             gen_apx(p3, k=1)
 
+    def test_rejects_bool_l(self, p3):
+        # True is no count: it would otherwise build l = 1
+        with pytest.raises(ContractViolationError):
+            gen_apx(p3, k=1, l=True)
+
     def test_meta_serialization(self, p3):
         _, meta = gen_apx(p3, k=1, l=1)
         doc = json.loads(meta.to_json())

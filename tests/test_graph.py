@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -179,6 +181,25 @@ class TestApsp:
         pc = apsp(p3)
         with pytest.raises(ValueError):
             pc.dist[0, 0] = 5
+
+    def test_counts_computed_once_per_graph(self, c4, bfs_calls):
+        first, second = apsp(c4), apsp(c4)
+        assert len(bfs_calls) == 1
+        assert first.graph is c4 and second.graph is c4
+        assert second.dist is first.dist and second.sigma is first.sigma
+        assert not second.dist.flags.writeable and not second.sigma.flags.writeable
+
+    def test_cached_counts_die_with_their_graph(self):
+        # the graph keeps bare arrays, so no reference cycle holds them
+        # until the cyclic collector runs
+        g = Graph([("a", "b"), ("b", "c")])
+        ref = weakref.ref(apsp(g).sigma)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_bfs_counting_on_random_graphs(self, seed):

@@ -92,10 +92,9 @@ class TestGreedyUnit:
     def test_rejects_negative_k(self, p3):
         with pytest.raises(ContractViolationError):
             greedy_unit(make_instance(p3, budget=1), -1)
-
-    def test_mismatched_path_counts_rejected(self, p3, c4):
+        # bool is no count: True would otherwise run with k = 1
         with pytest.raises(ContractViolationError):
-            greedy_unit(make_instance(p3, budget=1), 1, pc=apsp(c4))
+            greedy_unit(make_instance(p3, budget=1), True)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_guarantee_against_brute_force(self, seed):
