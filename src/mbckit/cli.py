@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--algo", required=True, choices=["unit", "ratio", "modified", "tree", "exact"]
     )
-    ps.add_argument("--threads", type=int)
     ps.add_argument("--seed", type=int)
 
     pn = sub.add_parser("gen", help="generate instance files")
@@ -105,9 +104,7 @@ def _cmd_gbc(args) -> int:
     return 0
 
 
-def _solve_instance(inst: CostedInstance, algo: str, threads: int | None):
-    if threads is not None and algo != "modified":
-        raise ContractViolationError("--threads applies to --algo modified only")
+def _solve_instance(inst: CostedInstance, algo: str):
     if algo == "unit":
         if not inst.unit_costs:
             raise ContractViolationError("--algo unit requires unit costs")
@@ -117,7 +114,7 @@ def _solve_instance(inst: CostedInstance, algo: str, threads: int | None):
     if algo == "ratio":
         return greedy_ratio(inst)
     if algo == "modified":
-        return greedy_modified(inst, threads=threads)
+        return greedy_modified(inst)
     if algo == "tree":
         return tree_solve(inst)
     return solve_exact(inst)
@@ -128,7 +125,7 @@ def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.graph), costs_text, args.budget)
     g = inst.graph
     start = time.perf_counter()
-    sol = _solve_instance(inst, args.algo, args.threads)
+    sol = _solve_instance(inst, args.algo)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     audit_solution(inst, sol)
     report = {
@@ -297,7 +294,7 @@ def _cmd_bench(args) -> int:
             opt = best.gbc
         for algo in entry_.get("algos", ["modified"]):
             start = time.perf_counter()
-            sol = _solve_instance(inst, algo, threads=None)
+            sol = _solve_instance(inst, algo)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             audit_solution(inst, sol)
             ratio = "" if not opt else f"{sol.gbc / opt:.6f}"

@@ -7,12 +7,20 @@ any group lies in [0, n(n-1)].
 
 The direct evaluator counts paths that avoid the group with the same
 forward level sweep that `apsp` uses for sigma, here with the group's
-nodes blocked.  The incremental oracle prices candidates in one of two
-ways.  A few candidates each get the product of member-avoiding x-y
-paths through v, O(n^2) per candidate.  A large pool gets every
-node's gain at once from the reverse level sweep (Brandes' dependency
-accumulation over the member-avoiding counts), O(levels * m * n) for
-all n nodes.  That all-node vector is cached until the next addition.
+nodes blocked.
+
+The incremental oracle has two representations.  The all-node one,
+behind greedy_unit and greedy_ratio, keeps the n x n member-avoiding
+counts and prices candidates in one of two ways.  A few candidates
+each get the product of member-avoiding x-y paths through v, O(n^2)
+per candidate.  A large pool gets every node's gain at once from the
+reverse level sweep (Brandes' dependency accumulation over the
+member-avoiding counts), O(levels * m * n) for all n nodes.  That
+all-node vector is cached until the next addition.  The
+candidate-space one, behind solve_exact and greedy_modified, keeps
+c x c matrices over a pool of c nodes: the avoiding counts and the
+pairwise path betweenness of Puzis, Elovici and Dolev (Phys. Rev. E
+76, 2007), so a gain is a diagonal read and an addition costs O(c^2).
 Nothing here ever enumerates paths.
 """
 
@@ -92,6 +100,77 @@ def gbc_modified(pc: PathCounts, essential_pairs, group) -> float:
     return float(vals.sum())
 
 
+class _Pool:
+    """The candidate space of a pool oracle, read-only and shared by copies.
+
+    ids holds the sorted pool nodes and at maps each one to its position.
+    dist, sigma and pb are c x c over the pool: hop distances, path counts
+    and the path betweenness of the empty group.
+    """
+
+    __slots__ = ("ids", "at", "dist", "sigma", "pb")
+
+    def __init__(self, pc: PathCounts, pool):
+        ids = sorted(set(pool))
+        for v in ids:
+            _check_node(pc.graph, v)
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.at = {v: i for i, v in enumerate(ids)}
+        grid = np.ix_(self.ids, self.ids)
+        self.dist = pc.dist[grid]
+        self.sigma = pc.sigma[grid]
+        self.pb = _path_betweenness(pc, self.ids)
+        for a in (self.dist, self.sigma, self.pb):
+            a.setflags(write=False)
+
+    def positions(self, nodes) -> np.ndarray:
+        try:
+            return np.array([self.at[v] for v in nodes], dtype=np.int64)
+        except KeyError as exc:
+            raise ContractViolationError(f"node {exc.args[0]} is not in the pool") from None
+
+
+def _path_betweenness(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
+    """PB[i, j] for the pool nodes u = ids[i] and w = ids[j].
+
+    PB[u, w] is the sum of sigma(x, u) sigma(u, w) sigma(w, y) / sigma(x, y)
+    over the ordered pairs (x, y) with d(x, u) + d(u, w) + d(w, y) = d(x, y):
+    the x-y pairs' fraction of shortest paths that meet u and then w.  The
+    condition says u lies on a shortest x-w path and w on a shortest x-y
+    path, so PB[u, w] = sigma(u, w) * sum_x [u on a shortest x-w path]
+    sigma(x, u) G[w, x], where G[w, x] = sum_y [w on a shortest x-y path]
+    sigma(w, y) / sigma(x, y).  G costs O(c n^2) and PB O(c^2 n), each
+    in slabs held under 16M entries.
+    """
+    d, sigma = pc.dist, pc.sigma
+    n, c = pc.n, len(ids)
+    inv = 1.0 / sigma
+    G = np.empty((c, n))
+    step = max(1, 16_000_000 // (n * n))
+    for lo in range(0, c, step):
+        ws = ids[lo : lo + step]
+        on = (d[:, ws].T[:, :, None] + d[ws][:, None, :]) == d
+        G[lo : lo + step] = np.einsum("jxy,jy->jx", np.where(on, inv, 0.0), sigma[ws])
+    dx, sx = d[:, ids], sigma[:, ids]
+    PB = np.empty((c, c))
+    step = max(1, 16_000_000 // (n * max(1, c)))
+    for lo in range(0, c, step):
+        ws = ids[lo : lo + step]
+        # on[j, x, i]: ids[i] lies on a shortest x-ws[j] path
+        on = (dx[None, :, :] + d[np.ix_(ws, ids)][:, None, :]) == d[:, ws].T[:, :, None]
+        PB[:, lo : lo + step] = np.einsum("jxi,jx->ij", np.where(on, sx, 0.0), G[lo : lo + step])
+    return PB * sigma[np.ix_(ids, ids)]
+
+
+def _clamp(T: np.ndarray, ref: np.ndarray) -> None:
+    """Zero float dust below 0 in T, a count that only decreases from ref."""
+    neg = T < 0.0
+    if neg.any():
+        if bool((-T[neg] > _CLAMP_REL * ref[neg]).any()):
+            raise ConsistencyError("avoiding-path counts went negative beyond tolerance")
+        T[neg] = 0.0
+
+
 class GbcOracle:
     """Incremental GBC evaluator over a growing member set.
 
@@ -100,7 +179,11 @@ class GbcOracle:
     (the zero-length path at w contains w), which makes the update
     product formula uniform for endpoint pairs.
 
-    Gains come from one of two kernels over sigma_tilde:
+    The oracle has two representations, chosen by its caller.
+
+    GbcOracle(pc) keeps sigma_tilde over all n nodes and prices any
+    node.  greedy_unit and greedy_ratio, whose pool is the whole graph,
+    use it.  Gains come from one of two kernels:
 
     * The through-v slab, _through(vs): the avoiding x-y paths through
       v, sigma_tilde[x, v] * sigma_tilde[v, y] wherever v lies on a
@@ -120,6 +203,16 @@ class GbcOracle:
     vector there, later gains() and gain() calls read it, copy()
     shares it, and add() drops it.  gain(v) is gains([v]).
 
+    GbcOracle(pc, pool) is the candidate-space oracle of Puzis, Elovici
+    and Dolev (Phys. Rev. E 76, 2007).  It prices and adds only pool
+    nodes, and keeps two c x c matrices over the c sorted pool nodes:
+    sigma_tilde restricted to the pool, and the member-avoiding path
+    betweenness _pb[u, w], the pairs' fraction of shortest paths that
+    meet u and then w and avoid every member (see _path_betweenness).
+    Building _pb costs O(c n^2) once; then a gain is the diagonal read
+    _pb[v, v] - 1, and add() and copy() are O(c^2).  solve_exact and
+    greedy_modified build their subset walk's root this way.
+
     add() is the only mutator of the member set and the counts.
     gains() may fill the cache, but it stores a finished read-only
     vector with one attribute assignment, so concurrent gain() and
@@ -128,15 +221,23 @@ class GbcOracle:
     access.
     """
 
-    __slots__ = ("pc", "_members", "sigma_tilde", "base_value", "_levels", "_gain_all")
+    __slots__ = (
+        "pc", "_members", "sigma_tilde", "base_value", "_levels", "_gain_all", "_pool", "_pb"
+    )
 
-    def __init__(self, pc: PathCounts):
+    def __init__(self, pc: PathCounts, pool=None):
         self.pc = pc
         self._members: set[int] = set()
-        self.sigma_tilde = pc.sigma.copy()
         self.base_value = 0.0
         self._levels = int(pc.dist.max()) + 1
         self._gain_all: np.ndarray | None = None
+        if pool is None:
+            self._pool = self._pb = None
+            self.sigma_tilde = pc.sigma.copy()
+        else:
+            self._pool = _Pool(pc, pool)
+            self.sigma_tilde = self._pool.sigma.copy()
+            self._pb = self._pool.pb.copy()
 
     def copy(self) -> "GbcOracle":
         dup = object.__new__(GbcOracle)
@@ -146,6 +247,8 @@ class GbcOracle:
         dup.base_value = self.base_value
         dup._levels = self._levels
         dup._gain_all = self._gain_all
+        dup._pool = self._pool
+        dup._pb = None if self._pb is None else self._pb.copy()
         return dup
 
     @property
@@ -194,10 +297,14 @@ class GbcOracle:
         for v in cands:
             _check_node(self.pc.graph, v)
         out = np.zeros(len(cands), dtype=np.float64)
-        ids = np.asarray(cands, dtype=np.int64)
         fresh = np.array(
             [i for i, v in enumerate(cands) if v not in self._members], dtype=np.int64
         )
+        if self._pool is not None:
+            at = self._pool.positions(cands)
+            out[fresh] = self._pb[at[fresh], at[fresh]] - 1.0
+            return out
+        ids = np.asarray(cands, dtype=np.int64)
         vec = self._gain_all
         if vec is None:
             if len(fresh) <= _SWEEP_LEVEL_COST * self._levels:
@@ -212,23 +319,48 @@ class GbcOracle:
     def add(self, v: int) -> float:
         """Insert v, update the avoiding counts, and return the gain."""
         _check_node(self.pc.graph, v)
+        at = None if self._pool is None else int(self._pool.positions([v])[0])
         if v in self._members:
             raise ContractViolationError(f"node {v} is already a member")
-        T = self.sigma_tilde
-        sigma = self.pc.sigma
-        through = self._through([v])[0]
-        gain = float((through / sigma).sum()) - 1.0
-        self._gain_all = None
-        T -= through
-        neg = T < 0.0
-        if neg.any():
-            if bool((-T[neg] > _CLAMP_REL * sigma[neg]).any()):
-                raise ConsistencyError(
-                    "avoiding-path counts went negative beyond tolerance"
-                )
-            T[neg] = 0.0
+        if at is None:
+            through = self._through([v])[0]
+            gain = float((through / self.pc.sigma).sum()) - 1.0
+            self._gain_all = None
+            self.sigma_tilde -= through
+            _clamp(self.sigma_tilde, self.pc.sigma)
+        else:
+            gain = self._pool_add(at)
         self._members.add(v)
         self.base_value += gain
+        return gain
+
+    def _pool_add(self, m: int) -> float:
+        """add() of the pool node at position m; returns its gain.
+
+        The paths that meet u and then w lose those that also meet m,
+        before u, between them or after w.  Each of the three counts is
+        a PB entry times the share of its avoiding paths that take the
+        detour through the third node.
+        """
+        S, PB, D = self.sigma_tilde, self._pb, self._pool.dist
+        gain = float(PB[m, m]) - 1.0
+        R = np.divide(PB, S, out=np.zeros_like(PB), where=S > 0.0)
+        Sm = S[:, m]
+        Dm = D[:, m]
+        via = Dm[:, None] + Dm[None, :] == D  # u, m, w
+        lead = Dm[:, None] + D == Dm[None, :]  # m, u, w
+        trail = D + Dm[None, :] == Dm[:, None]  # u, w, m
+        through = np.where(via, np.outer(Sm, Sm), 0.0)
+        PB -= (
+            R * through
+            + np.where(lead, R[m][None, :] * Sm[:, None] * S, 0.0)
+            + np.where(trail, R[:, m][:, None] * S * Sm[None, :], 0.0)
+        )
+        PB[m, :] = 0.0
+        PB[:, m] = 0.0
+        S -= through
+        _clamp(S, self._pool.sigma)
+        _clamp(PB, self._pool.pb)
         return gain
 
 

@@ -9,20 +9,21 @@ Three variants share one inner loop:
 * greedy_modified: the ratio scan restarted from every initialization of
   at most three nodes, keeping the best outcome.  The initializations
   come from _subsets, the depth-first subset walk that solve_exact
-  also runs.
+  also runs, over a candidate-space oracle (GbcOracle(pc, pool)).
 
 All three read the graph's path counts from apsp.  audit_solution is
-the one answer check, run by the tree solver and the CLI.
+the one answer check, run by the tree solver and the CLI.  A node fits
+the budget when _fits says so, within the audit's slack.
 
-Tie-breaking is everywhere by smallest node id.  Ties are detected
-with a small absolute tolerance: the coverage bridge recomputes the
-same rational gains along a different float path, and exact comparison
-would let last-bit noise pick different argmaxes on the two sides.
+Tie-breaking is everywhere by smallest node id, and between outcomes
+by smallest seed or set.  Ties are detected within _tie_tol: the
+coverage bridge and the two oracle representations compute the same
+rational values along different float paths, and exact comparison
+would let last-bit noise pick different winners.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,17 @@ def audit_solution(inst: CostedInstance, sol: Solution) -> None:
     if abs(audit - sol.gbc) > 1e-9 * g.n * g.n:
         raise ConsistencyError(f"reported value {sol.gbc} fails re-evaluation ({audit})")
     spent = inst.cost_of(sol.nodes)
-    if spent > inst.budget + 1e-9 * max(1.0, inst.budget):
+    if not _fits(spent, 0.0, inst.budget):
         raise ConsistencyError(f"chosen set costs {spent}, over the budget {inst.budget}")
+
+
+def _fits(spent: float, c: float, budget: float) -> bool:
+    """Whether a node of cost c still fits after spent, within float slack.
+
+    Summing the same costs in another order can land a few ulps above the
+    budget, so the slack is the audit's 1e-9 * max(1, budget).
+    """
+    return spent + c <= budget + 1e-9 * max(1.0, budget)
 
 
 def _candidate_pool(g: Graph, candidates) -> list[int]:
@@ -152,7 +162,7 @@ def _ratio_augment(oracle: GbcOracle, inst: CostedInstance, pool) -> list[int]:
     added: list[int] = []
     while pool:
         cu = costs[pool]
-        if spent + cu.min() > budget:
+        if not _fits(spent, float(cu.min()), budget):
             break
         gains = oracle.gains(pool)
         if gains.max() <= tol and bool((cu > 0).all()):
@@ -161,7 +171,7 @@ def _ratio_augment(oracle: GbcOracle, inst: CostedInstance, pool) -> list[int]:
         v = pool.pop(at)
         c = float(costs[v])
         g = float(gains[at])
-        if spent + c <= budget and (g > tol or c == 0.0):
+        if _fits(spent, c, budget) and (g > tol or c == 0.0):
             oracle.add(v)
             spent += c
             added.append(v)
@@ -216,15 +226,15 @@ def _subsets(oracle, cand, costs, budget, size, seed=(), spent=0.0):
     Yields (subset, oracle) after all of that subset's extensions, so the
     caller may mutate the yielded oracle: each child is its parent's
     copy() plus one add(), and all of them were copied already.  A node
-    fits while the running float spent + cost stays within the budget.
-    A subset that covers every pair is not extended, as no extension can
-    beat it.
+    fits while the running float spent + cost passes _fits.  A subset
+    that covers every pair within _tie_tol is not extended, as no
+    extension can beat it.
     """
-    full = float(oracle.pc.n * (oracle.pc.n - 1))
-    if len(seed) < size and oracle.base_value < full - 1e-9:
+    n = oracle.pc.n
+    if len(seed) < size and oracle.base_value < n * (n - 1) - _tie_tol(n):
         for j, v in enumerate(cand):
             c = float(costs[v])
-            if spent + c <= budget:
+            if _fits(spent, c, budget):
                 child = oracle.copy()
                 child.add(v)
                 yield from _subsets(
@@ -233,53 +243,31 @@ def _subsets(oracle, cand, costs, budget, size, seed=(), spent=0.0):
     yield seed, oracle
 
 
-def greedy_modified(
-    inst: CostedInstance, candidates=None, threads: int | None = None
-) -> Solution:
+def _best_outcome(outcomes, n: int):
+    """The (value, subset, ...) outcome of largest value, ranked within
+    _tie_tol(n): among the near-best, the smallest subset wins, then the
+    lexicographically first."""
+    top = max(r[0] for r in outcomes) - _tie_tol(n)
+    return min((r for r in outcomes if r[0] >= top), key=lambda r: (len(r[1]), r[1]))
+
+
+def greedy_modified(inst: CostedInstance, candidates=None) -> Solution:
     """Ratio greedy restarted from every affordable seed of at most 3 nodes.
 
-    Seeds come from one depth-first walk (_subsets) over apsp's counts, so
-    each seed prefix is added once, and each restart augments its seed's
-    oracle in place.  The outcomes are ranked by seed size, then
-    lexicographically; the first strictly-better value wins, so ties
-    resolve to the smallest seed.  `candidates` restricts both the seeds
-    and the augmentation pool.  `threads` walks the branches under each
-    first node in a thread pool; the empty seed augments the shared root
-    oracle last, once every branch has copied it.
+    Seeds come from one depth-first walk (_subsets) over a candidate-space
+    oracle of apsp's counts, so each seed prefix is added once, and each
+    restart augments its seed's oracle in place.  The best value wins;
+    outcomes within _tie_tol of it go to the smallest seed, then the
+    lexicographically first.  `candidates` restricts both the seeds and
+    the augmentation pool; the default is every node.
     """
-    if threads is not None and not (_is_int(threads) and threads >= 1):
-        raise ContractViolationError(f"threads must be an integer >= 1, got {threads!r}")
     cand = _candidate_pool(inst.graph, candidates)
-    base = GbcOracle(apsp(inst.graph))
-    costs, budget = inst.cost, inst.budget
-
-    def restart(seed: tuple[int, ...], oracle: GbcOracle):
+    root = GbcOracle(apsp(inst.graph), cand)
+    outcomes = []
+    for seed, oracle in _subsets(root, cand, inst.cost, inst.budget, 3):
         added = _ratio_augment(oracle, inst, [u for u in cand if u not in seed])
-        return float(oracle.base_value), seed, seed + tuple(added)
-
-    def branch(j: int) -> list:
-        # every seed whose first node is cand[j]
-        v = cand[j]
-        c = float(costs[v])
-        if c > budget:
-            return []
-        oracle = base.copy()
-        oracle.add(v)
-        walk = _subsets(oracle, cand[j + 1 :], costs, budget, 3, (v,), c)
-        return [restart(seed, o) for seed, o in walk]
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            branches = list(pool.map(branch, range(len(cand))))
-    else:
-        branches = list(map(branch, range(len(cand))))
-    results = [r for rs in branches for r in rs] + [restart((), base)]
-    results.sort(key=lambda r: (len(r[1]), r[1]))
-
-    best_value, best_seed, best_order = results[0]
-    for value, seed, order in results[1:]:
-        if value > best_value:
-            best_value, best_seed, best_order = value, seed, order
+        outcomes.append((float(oracle.base_value), seed, seed + tuple(added)))
+    best_value, best_seed, best_order = _best_outcome(outcomes, inst.graph.n)
     nodes = tuple(sorted(best_order))
     return Solution(
         nodes=nodes,

@@ -359,7 +359,7 @@ def test_criterion_6_tightness_trend():
             rows = set(g.ids(meta.row_labels))
             inst = CostedInstance.unit(g, float(k))
             opt = solve_exact(inst, candidates=whitelist)
-            greedy = greedy_modified(inst, candidates=whitelist, threads=4)
+            greedy = greedy_modified(inst, candidates=whitelist)
             ratio = greedy.gbc / opt.gbc
             lo = 1.0 - 1.0 / math.e - 0.02
             hi = 1.0 - (1.0 - 1.0 / k) ** k + 0.02
@@ -453,7 +453,7 @@ def test_tightness_mechanism():
     cols = set(g.ids(meta.col_labels))
     inst = CostedInstance.unit(g, float(k + 3))
     opt = solve_exact(inst, candidates=whitelist)
-    greedy = greedy_modified(inst, candidates=whitelist, threads=4)
+    greedy = greedy_modified(inst, candidates=whitelist)
     assert sorted(opt.nodes) == rows
     assert cols <= set(greedy.nodes)
     assert greedy.gbc < opt.gbc

@@ -82,41 +82,26 @@ class TestSolveCommand:
         assert out == ""
         assert "cap" in err
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_invalid_threads_is_exit_three(self, capsys, c4_file, threads):
-        code, out, err = run(
-            capsys, "solve", "-g", c4_file, "--budget", "2", "--algo", "modified",
-            f"--threads={threads}",
-        )
-        assert code == 3
-        assert out == ""
-        assert "threads" in err
-
-    @pytest.mark.parametrize("algo,threads", [("exact", "0"), ("tree", "2")])
-    def test_threads_only_with_modified(self, capsys, p3_file, algo, threads):
-        code, out, err = run(
-            capsys, "solve", "-g", p3_file, "--budget", "1", "--algo", algo,
-            f"--threads={threads}",
-        )
-        assert code == 3
-        assert out == ""
-        assert "threads" in err
-
     @pytest.mark.parametrize("algo", ["modified", "tree"])
     def test_one_apsp_per_solve(self, capsys, p3_file, bfs_calls, algo):
         code, _, _ = run(capsys, "solve", "-g", p3_file, "--budget", "1", "--algo", algo)
         assert code == 0
         assert len(bfs_calls) == 1
 
+    @staticmethod
+    def _fractional_tree(tmp_path):
+        graph = tmp_path / "tree.txt"
+        graph.write_text("0 1\n0 2\n0 4\n0 7\n2 3\n4 5\n5 6\n6 8\n")
+        costs = tmp_path / "costs.txt"
+        costs.write_text("0 .05\n1 .05\n2 .05\n3 .2\n4 .05\n5 .1\n6 1.1\n7 .05\n8 .1\n")
+        return graph, costs
+
     def test_tree_fractional_costs_within_budget_slack(self, capsys, tmp_path):
         # the DP's own sum for {0, 2, 5, 8} is 0.3; cost_of sums the same
         # costs to 0.30000000000000004
         from mbckit import parse_instance, tree_solve
 
-        graph = tmp_path / "tree.txt"
-        graph.write_text("0 1\n0 2\n0 4\n0 7\n2 3\n4 5\n5 6\n6 8\n")
-        costs = tmp_path / "costs.txt"
-        costs.write_text("0 .05\n1 .05\n2 .05\n3 .2\n4 .05\n5 .1\n6 1.1\n7 .05\n8 .1\n")
+        graph, costs = self._fractional_tree(tmp_path)
         code, out, err = run(
             capsys, "solve", "-g", str(graph), "--costs", str(costs),
             "--budget", "0.3", "--algo", "tree",
@@ -129,6 +114,19 @@ class TestSolveCommand:
         sol = tree_solve(inst)
         assert sol.gbc == 72.0
         assert [inst.graph.labels[v] for v in sol.nodes] == report["nodes"]
+
+    def test_exact_fractional_costs_within_budget_slack(self, capsys, tmp_path):
+        # the walk's running sum for {0, 2, 5, 8} is 0.30000000000000004,
+        # which fits the budget 0.3 within the audit's slack
+        graph, costs = self._fractional_tree(tmp_path)
+        code, out, err = run(
+            capsys, "solve", "-g", str(graph), "--costs", str(costs),
+            "--budget", "0.3", "--algo", "exact",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["gbc"] == 72.0
+        assert report["nodes"] == ["0", "2", "5", "8"]
 
     def test_missing_budget(self, capsys, c4_file):
         code, _, err = run(capsys, "solve", "-g", c4_file, "--algo", "exact")
@@ -159,7 +157,7 @@ class TestSolveCommand:
     def test_self_audit_catches_bad_solver(self, capsys, c4_file, monkeypatch):
         from mbckit.greedy import Solution
 
-        def broken(inst, algo, threads):
+        def broken(inst, algo):
             return Solution(nodes=(0,), cost=1.0, gbc=999.0, algorithm=algo)
 
         monkeypatch.setattr(cli, "_solve_instance", broken)
@@ -263,7 +261,7 @@ class TestBenchCommand:
     def test_audit_catches_bad_solver(self, capsys, tmp_path, c4_file, monkeypatch):
         from mbckit.greedy import Solution
 
-        def broken(inst, algo, threads):
+        def broken(inst, algo):
             return Solution(nodes=(0,), cost=1.0, gbc=999.0, algorithm=algo)
 
         monkeypatch.setattr(cli, "_solve_instance", broken)

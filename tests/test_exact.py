@@ -13,52 +13,50 @@ from mbckit import (
 )
 from mbckit.exact import MAX_CANDIDATES
 from mbckit.generators import gen_random
-from mbckit.greedy import _candidate_pool
+from mbckit.greedy import _candidate_pool, _fits, _tie_tol
 
 from conftest import make_instance, walk_case
 from oracle_utils import opt_brute
 
 
 def exact_reference(inst, candidates=None):
-    """solve_exact's own recursion, as before the shared subset walk.
+    """solve_exact's own recursion over the all-node oracle, as before
+    the shared subset walk.
 
-    Returns (nodes, gbc).
+    The best value wins; values within _tie_tol of it go to the smallest
+    set, then the lexicographically first.  Returns (nodes, gbc).
     """
     cand = _candidate_pool(inst.graph, candidates)
     costs, budget = inst.cost, inst.budget
     n = inst.graph.n
+    tol = _tie_tol(n)
     full = float(n * (n - 1))
     suffix_min = np.empty(len(cand) + 1)
     suffix_min[-1] = np.inf
     for i in range(len(cand) - 1, -1, -1):
         suffix_min[i] = min(costs[cand[i]], suffix_min[i + 1])
-    best = [0.0, 0, ()]
-
-    def consider(value, chosen):
-        size, tup = len(chosen), tuple(chosen)
-        if value > best[0] or (
-            value == best[0] and (size < best[1] or (size == best[1] and tup < best[2]))
-        ):
-            best[0], best[1], best[2] = value, size, tup
+    seen = [(0.0, ())]
 
     def descend(i, oracle, spent, chosen):
         for j in range(i, len(cand)):
-            if spent + suffix_min[j] > budget:
+            if not _fits(spent, suffix_min[j], budget):
                 break
             v = cand[j]
             c = float(costs[v])
-            if spent + c > budget:
+            if not _fits(spent, c, budget):
                 continue
             branch = oracle.copy()
             branch.add(v)
             chosen.append(v)
-            consider(branch.base_value, chosen)
-            if branch.base_value < full - 1e-9:
+            seen.append((branch.base_value, tuple(chosen)))
+            if branch.base_value < full - tol:
                 descend(j + 1, branch, spent + c, chosen)
             chosen.pop()
 
     descend(0, GbcOracle(apsp(inst.graph)), 0.0, [])
-    return best[2], float(best[0])
+    top = max(value for value, _ in seen) - tol
+    value, nodes = min((r for r in seen if r[0] >= top), key=lambda r: (len(r[1]), r[1]))
+    return nodes, float(value)
 
 
 class TestFrozenCases:
@@ -104,7 +102,9 @@ class TestWalkMatchesRecursion:
     def test_same_set_and_value(self, seed):
         inst, cand = walk_case(seed)
         sol = solve_exact(inst, candidates=cand)
-        assert (sol.nodes, sol.gbc) == exact_reference(inst, cand)
+        nodes, gbc = exact_reference(inst, cand)
+        assert sol.nodes == nodes
+        assert abs(sol.gbc - gbc) <= 1e-9 * inst.graph.n ** 2
 
 
 class TestBruteForceEquivalence:

@@ -249,6 +249,77 @@ class TestOracle:
             assert abs(oracle.base_value - gbc_direct(pc, chosen)) <= tol
 
 
+class TestPoolOracle:
+    """GbcOracle(pc, pool): the c x c candidate-space representation."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_full_oracle_and_direct(self, seed):
+        rng = random.Random(seed + 300)
+        n = rng.randint(4, 8) if seed % 3 == 0 else rng.randint(9, 30)
+        g = gen_random(n, rng.choice([0.15, 0.3, 0.5]), seed=seed + 310)
+        pc = apsp(g)
+        tol = 1e-9 * g.n * g.n
+        pool = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+        oracle = GbcOracle(pc, pool)
+        full = GbcOracle(pc)
+        chosen = []
+        for v in rng.sample(pool, rng.randint(1, len(pool))):
+            base = gbc_direct(pc, chosen)
+            got = oracle.gains(pool)  # members stay in the pool and score 0
+            assert np.abs(got - full.gains(pool)).max() <= tol
+            for u, gain in zip(pool, got):
+                want = 0.0 if u in chosen else gbc_direct(pc, chosen + [u]) - base
+                assert abs(gain - want) <= tol
+            assert abs(oracle.add(v) - full.add(v)) <= tol
+            chosen.append(v)
+            assert abs(oracle.value - full.value) <= tol
+            assert abs(oracle.value - gbc_direct(pc, chosen)) <= tol
+            if g.n <= 8:
+                exact = gbc_brute(g.n, list(g.edge_list), chosen)
+                assert abs(oracle.value - float(exact)) <= tol
+        assert oracle.members == tuple(sorted(chosen))
+
+    def test_nodes_outside_the_pool_are_refused(self, c4):
+        oracle = GbcOracle(apsp(c4), [1, 3])
+        for bad in ([0], [1, 2]):
+            with pytest.raises(ContractViolationError):
+                oracle.gains(bad)
+        with pytest.raises(ContractViolationError):
+            oracle.add(0)
+        with pytest.raises(ContractViolationError):
+            GbcOracle(apsp(c4), [1, 4])
+        assert oracle.members == () and oracle.value == 0.0
+        assert oracle.gains([3, 1]).tolist() == [7.0, 7.0]
+
+    def test_readding_member_raises_and_preserves_state(self, c4):
+        oracle = GbcOracle(apsp(c4), range(4))
+        oracle.add(1)
+        before = (oracle.value, oracle.gains(range(4)).tolist())
+        counts, pb = oracle.sigma_tilde.copy(), oracle._pb.copy()
+        with pytest.raises(ContractViolationError):
+            oracle.add(1)
+        assert (oracle.value, oracle.gains(range(4)).tolist()) == before
+        assert (oracle.sigma_tilde == counts).all() and (oracle._pb == pb).all()
+        assert oracle.members == (1,)
+
+    def test_copy_is_independent(self):
+        g = gen_random(14, 0.3, seed=321)
+        pc = apsp(g)
+        pool = list(range(0, g.n, 2))
+        parent = GbcOracle(pc, pool)
+        parent.add(pool[0])
+        gains = parent.gains(pool).tolist()
+        fork = parent.copy()
+        fork.add(pool[1])
+        assert parent.members == (pool[0],)
+        assert parent.gains(pool).tolist() == gains
+        assert parent.value == pytest.approx(gbc_direct(pc, [pool[0]]), abs=1e-9 * g.n**2)
+        assert fork.members == (pool[0], pool[1])
+        assert fork.value == pytest.approx(gbc_direct(pc, pool[:2]), abs=1e-9 * g.n**2)
+        parent.add(pool[2])
+        assert fork.members == (pool[0], pool[1])
+
+
 def _kernel_graphs():
     """Four seeded random graphs, a 9-node path and a 4x4 grid."""
     graphs = [gen_random(20 + 4 * s, 0.25, seed=s + 60) for s in range(4)]
