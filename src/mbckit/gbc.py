@@ -5,9 +5,14 @@ count, and a shortest path contains its endpoints.  Consequently
 GBC(V) = n(n-1), GBC({v}) = brandes_bc(v) + 2(n-1), and the value of
 any group lies in [0, n(n-1)].
 
-The direct evaluator counts paths that avoid the group with the same
-forward level sweep that `apsp` uses for sigma, here with the group's
-nodes blocked.
+The direct evaluators count paths that avoid the group with the same
+forward level sweep over the twin quotient that `apsp` uses for sigma
+(Puzis, Zilberman, Elovici, Dolev and Brandes 2012).  There the
+interior weight of a class is its number of non-members, so a class of
+members only is blocked, and the group needs no finer partition.
+gbc_direct reads the counts out to n x n and sums their ratios to
+sigma; gbc_modified reads only its pairs.  The reverse sweep of the
+all-node oracle and the pool's path betweenness stay n x n.
 
 The incremental oracle has two representations.  The all-node one,
 behind greedy_unit and greedy_ratio, keeps the n x n member-avoiding
@@ -26,10 +31,12 @@ Nothing here ever enumerates paths.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ConsistencyError, ContractViolationError
-from .graph import Graph, PathCounts, _check_node, _level_sweep
+from .graph import Graph, PathCounts, _check_node, _level_sweep, _quotient
 
 __all__ = [
     "gbc_direct",
@@ -60,11 +67,16 @@ def _member_mask(pc: PathCounts, group) -> np.ndarray:
 def _avoiding_counts(pc: PathCounts, blocked: np.ndarray) -> np.ndarray:
     """Number of shortest x-y paths meeting no blocked node, per ordered pair.
 
-    Blocked sources start at zero (a path contains its endpoints).  The
-    counts are symmetric, so either orientation of the result serves.
+    Pairs with a blocked endpoint count zero (a path contains its
+    endpoints).  The counts are symmetric, so either orientation of the
+    result serves.
     """
-    seeds = np.diag((~blocked).astype(np.float64))
-    return _level_sweep(pc.graph.csr(), pc.dist, seeds, blocked)
+    qt = _quotient(pc.graph)
+    F = qt.expand(qt.sweep(blocked), ~blocked)
+    if not qt.identity:  # else the sweep left them zero
+        F[blocked] = 0.0
+        F[:, blocked] = 0.0
+    return F
 
 
 def gbc_direct(pc: PathCounts, group) -> float:
@@ -80,23 +92,45 @@ def gbc_direct(pc: PathCounts, group) -> float:
     return float(covered)
 
 
+def _pair_ids(g: Graph, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target id arrays of ordered pairs, every id checked as
+    _check_node checks one, in array passes.  Only a failing list is
+    scanned id by id, to name the bad id."""
+    try:
+        P = np.asarray(pairs)
+    except ValueError:  # ragged records
+        P = None
+    if (
+        P is not None
+        and P.ndim == 2
+        and P.shape[1] == 2
+        and P.dtype.kind in "iu"
+        and 0 <= P.min()
+        and P.max() < g.n
+        and bool not in set(map(type, itertools.chain.from_iterable(pairs)))
+    ):
+        return P[:, 0].astype(np.int64), P[:, 1].astype(np.int64)
+    for s, t in pairs:
+        _check_node(g, s)
+        _check_node(g, t)
+    raise ContractViolationError("essential pairs must be (source, target) id pairs")
+
+
 def gbc_modified(pc: PathCounts, essential_pairs, group) -> float:
     """GBC restricted to the given ordered node pairs."""
     pairs = list(essential_pairs)
     if not pairs:
         return 0.0
-    for s, t in pairs:
-        _check_node(pc.graph, s)
-        _check_node(pc.graph, t)
-    ss = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    tt = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+    ss, tt = _pair_ids(pc.graph, pairs)
     if (ss == tt).any():
         raise ContractViolationError("essential pairs must have distinct endpoints")
     blocked = _member_mask(pc, group)
     if not blocked.any():
         return 0.0
-    F = _avoiding_counts(pc, blocked)
-    vals = 1.0 - F[ss, tt] / pc.sigma[ss, tt]
+    qt = _quotient(pc.graph)
+    F = qt.sweep(blocked)[qt.cls[ss], qt.cls[tt]]
+    F[blocked[ss] | blocked[tt]] = 0.0
+    vals = 1.0 - F / pc.sigma[ss, tt]
     return float(vals.sum())
 
 

@@ -5,10 +5,22 @@ dense integers assigned by first appearance in the edge list; the
 original labels are kept for reporting.  All-pairs hop distances and
 shortest-path counts are computed once per graph by `apsp`, kept on
 the graph, and shared read-only by every solver.
+
+Counting runs on the twin quotient, the structural-equivalence
+reduction of Puzis, Zilberman, Elovici, Dolev and Brandes ("Heuristics
+for speeding up betweenness centrality computation", 2012).  Twins are
+nodes with the same closed neighbourhood (true twins) or the same open
+one (false twins).  A shortest path meets at most one node of a twin
+class, so the level sweep runs over classes, each interior class
+weighted by its size, and the n x n results are read out of the class
+space.  The classes are found on the first `apsp` of a graph, not when
+it is built.  A graph whose twins would remove fewer than _MIN_TWINS
+nodes is its own quotient, one class per node.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -45,7 +57,9 @@ __all__ = [
 class Graph:
     """Immutable undirected connected simple graph with dense node ids."""
 
-    __slots__ = ("n", "m", "labels", "id_of", "adj", "edge_list", "_csr", "_counts")
+    __slots__ = (
+        "n", "m", "labels", "id_of", "adj", "edge_list", "_csr", "_quotient", "_counts"
+    )
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         id_of: dict[str, int] = {}
@@ -80,6 +94,7 @@ class Graph:
         self.adj = adj
         self.edge_list = tuple(sorted(pairs))
         self._csr = None
+        self._quotient = None
         self._counts = None
         self._check_connected()
 
@@ -201,7 +216,8 @@ class PathCounts:
 
     dist[v, v] = 0 and sigma[v, v] = 1 (the empty path).  sigma is kept
     in doubles: counts can grow exponentially, and every consumer only
-    ever forms ratios against it.  apsp(g) wraps the arrays it keeps on g.
+    ever forms ratios against it.  apsp(g) wraps the n x n arrays it
+    keeps on g, which it reads out of the twin quotient.
     """
 
     graph: Graph
@@ -213,12 +229,164 @@ class PathCounts:
         return self.graph.n
 
 
+# A graph runs on its twin quotient when that removes at least this many
+# nodes; with fewer, the fixed costs of the quotient (its CSR, the
+# read-out to n x n) outweigh the smaller sweep.  Quotient over plain
+# sweep time, for apsp and then gbc_direct, as medians of 15 alternating
+# runs on one core of a 2-core x86-64 machine: stars 1.13 / 1.03 at 23
+# removed nodes, 1.03 / 0.99 at 31 and 0.92 / 0.94 at 39; gen_apx
+# blow-ups 1.04 / 1.09 at 24 and 0.87 / 0.83 at 36; random trees
+# 0.95 / 0.97 at n = 128 (17 removed) and 0.80 / 0.77 at n = 256 (29);
+# a random graph with 3 twins 1.08 / 1.10.
+_MIN_TWINS = 32
+
+
+class _Quotient:
+    """The twin quotient of one graph, read-only and built once per graph.
+
+    cls[v] is the class of node v, classes numbered by their smallest
+    member, and size[c] the number of nodes in class c (as floats, for
+    weighting).  within[c] is the distance between two members of c: 1
+    for true twins, which are pairwise adjacent, 2 for false twins, which
+    share every neighbour, and 0 for a single node.  adj joins two
+    classes when their members are adjacent, and dist holds the quotient
+    hop distances, which are the distances between members of distinct
+    classes.  shared lists (false-twin class, neighbour class) pairs, to
+    count the paths between two false twins without a sparse product.
+    A graph with too few twins (see _MIN_TWINS) is its own quotient
+    (identity): cls is the identity, adj is g.csr() and dist is the
+    graph's own distance array.
+    """
+
+    __slots__ = ("q", "cls", "size", "within", "adj", "dist", "shared", "identity")
+
+    def __init__(self, g: Graph):
+        cls, reps, within = _twin_classes(g)
+        if g.n - len(reps) < _MIN_TWINS:
+            cls = reps = np.arange(g.n)
+            within = np.zeros(g.n, dtype=np.int64)
+        q = len(reps)
+        A = g.csr()
+        self.q = q
+        self.identity = q == g.n
+        self.cls = cls
+        self.size = np.bincount(cls, minlength=q).astype(np.float64)
+        self.within = within
+        if self.identity:
+            self.adj, self.shared = A, None
+        else:
+            # the edges between representatives, in CSR order, so rows stay sorted
+            rows = np.repeat(np.arange(g.n), np.diff(A.indptr))
+            rep = np.zeros(g.n, dtype=bool)
+            rep[reps] = True
+            keep = rep[rows] & rep[A.indices]
+            rows, cols = cls[rows[keep]], cls[A.indices[keep]]
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=q))))
+            self.adj = sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(q, q))
+            false = within[rows] == 2
+            self.shared = (rows[false], cols[false])
+        dist = csgraph.shortest_path(self.adj, method="D", unweighted=True, directed=False)
+        self.dist = dist.astype(np.int64)
+        for a in (cls, self.size, within, self.dist):
+            a.setflags(write=False)
+
+    def sweep(self, blocked: np.ndarray | None = None) -> np.ndarray:
+        """Class-space counts of the shortest paths that meet no node of
+        the mask `blocked` (None blocks nothing).
+
+        Entry (S, T) counts the paths from an unblocked node of S to an
+        unblocked node of T.  Each interior class counts its unblocked
+        members, so a class with none blocks.  With twins, the diagonal
+        holds the count between two members of a class: 1 for true
+        twins, and the unblocked shared neighbours for false twins.
+        Entries of blocked nodes in a partly blocked class are the
+        caller's to zero.
+        """
+        if self.identity:
+            weights, closed = None, blocked
+        else:
+            weights = self.size
+            if blocked is not None:
+                weights = weights - np.bincount(self.cls[blocked], minlength=self.q)
+            closed = weights == 0.0
+        if closed is None or not closed.any():
+            seeds, closed = np.eye(self.q), None
+        else:
+            seeds = np.diag((~closed).astype(np.float64))
+        X = _level_sweep(self.adj, self.dist, seeds, closed, weights=weights)
+        if not self.identity:
+            at, nbr = self.shared
+            pairs = np.bincount(at, weights=weights[nbr], minlength=self.q)
+            X.flat[:: self.q + 1] = np.where(self.within == 2, pairs, 1.0)
+        return X
+
+    def expand(self, X: np.ndarray, diag) -> np.ndarray:
+        """The n x n array whose (x, y) entry is X[cls[x], cls[y]], with
+        diag on its diagonal.  Without twins that is X itself, which
+        holds diag already."""
+        if self.identity:
+            return X
+        X = X.take(self.cls, axis=0).take(self.cls, axis=1)
+        X.flat[:: len(X) + 1] = diag
+        return X
+
+
+def _salts(n: int) -> np.ndarray:
+    """Fixed, well-mixed 64-bit salts for the node ids: splitmix64."""
+    salt = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    salt = (salt ^ (salt >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    salt = (salt ^ (salt >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return salt ^ (salt >> np.uint64(31))
+
+
+def _twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cls, reps, within) for _Quotient: each node's class, each class's
+    smallest member, and each class's within-class distance.
+
+    A node joins the first node with the same open neighbourhood (false
+    twins) or the same closed one (true twins); no node has both kinds.
+    Each node is fingerprinted by a salted sum over its neighbourhood,
+    one O(m) pass over the CSR rows, and only nodes whose fingerprints
+    collide have their sorted neighbourhoods compared, so a collision
+    costs time, never a wrong class, and a graph without twins builds
+    no Python objects per node.
+    """
+    A = g.csr()
+    n = g.n
+    salt = _salts(n)
+    fp_open = np.add.reduceat(salt[A.indices], A.indptr[:-1])  # every row is nonempty
+    head = np.arange(n)
+    within = np.zeros(n, dtype=np.int64)
+    for fp, d in ((fp_open + salt, 1), (fp_open, 2)):
+        order = np.argsort(fp, kind="stable")  # ties stay in ascending id order
+        cuts = np.flatnonzero(np.diff(fp[order])) + 1
+        lo = np.concatenate(([0], cuts))
+        hi = np.concatenate((cuts, [n]))
+        for a, b in zip(lo[hi - lo > 1].tolist(), hi[hi - lo > 1].tolist()):
+            firsts: list[tuple[int, list[int]]] = []
+            for v in order[a:b].tolist():
+                nbrs = g.adj[v]
+                if d == 1:
+                    nbrs = nbrs.copy()
+                    bisect.insort(nbrs, v)
+                for r, seen in firsts:
+                    if seen == nbrs:
+                        head[v] = r
+                        within[r] = d
+                        break
+                else:
+                    firsts.append((v, nbrs))
+    reps = np.flatnonzero(head == np.arange(n))
+    return np.searchsorted(reps, head), reps, within[reps]
+
+
 def _level_sweep(
     A: sparse.csr_matrix,
     dist: np.ndarray,
     X: np.ndarray,
     blocked: np.ndarray | None = None,
     reverse: bool = False,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Level DP over the shortest-path DAGs, in place on X.
 
@@ -228,14 +396,20 @@ def _level_sweep(
     reverse every entry is a seed, and from the farthest level inward
     X[t, s] adds the sum of X[w, s] over neighbors w of t one hop
     farther from s.  Rows in `blocked` are zeroed after every level, so
-    nothing flows through a blocked node.  Each level costs one sparse
-    product over all n columns.
+    nothing flows through a blocked node.  With weights, every w but the
+    source itself counts weights[w] times, as a twin class counts its
+    size, or its non-members; only rows of weight above 1 are scaled.
+    Each level costs one sparse product over all columns.
     """
     top = int(dist.max())
+    up = () if weights is None else np.flatnonzero(weights > 1.0)
     src = dist == (top if reverse else 0)
     for d in range(top - 1, -1, -1) if reverse else range(1, top + 1):
         at = dist == d
-        contrib = A @ np.where(src, X, 0.0)
+        flow = np.where(src, X, 0.0)
+        if len(up) and (reverse or d > 1):
+            flow[up] = flow.take(up, axis=0) * weights[up, None]
+        contrib = A @ flow
         if reverse:
             np.add(X, contrib, out=X, where=at)
         else:
@@ -246,16 +420,36 @@ def _level_sweep(
     return X
 
 
+def _quotient(g: Graph) -> _Quotient:
+    if g._quotient is None:
+        g._quotient = _Quotient(g)
+    return g._quotient
+
+
 def apsp(g: Graph) -> PathCounts:
     """Distances by breadth-first search, path counts by the level DP
-    sigma(s, t) = sum of sigma(s, w) over neighbors w of t one hop closer.
-    Computed once per graph: g keeps the bare read-only arrays, not this
-    PathCounts, which points back at g."""
+    sigma(s, t) = sum of sigma(s, w) over neighbors w of t one hop closer,
+    both over the twin quotient.  Between members of distinct classes
+    the distance is the quotient's, and sigma the quotient's path count
+    with each interior class weighted by its size.  Two true twins are
+    at distance 1 with sigma 1, two false twins at distance 2 with sigma
+    their degree.  The counts are integers, exact in doubles below 2**53,
+    so they equal a sweep over the whole graph bit for bit.  A count
+    that overflows raises CapExceededError before any n x n array is
+    built.  Computed once per graph: g keeps the bare read-only arrays,
+    not this PathCounts, which points back at g."""
     if g._counts is None:
-        A = g.csr()
-        dist = csgraph.shortest_path(A, method="D", unweighted=True, directed=False)
-        dist = dist.astype(np.int64)
-        sigma = _level_sweep(A, dist, np.eye(g.n))
+        qt = _quotient(g)
+        with np.errstate(over="ignore"):  # overflow is refused just below
+            counts = qt.sweep()
+        if not np.isfinite(counts).all():
+            raise CapExceededError(
+                "shortest-path counts overflow double precision "
+                f"({g.n} nodes, {qt.q} twin classes)",
+                float("inf"),
+            )
+        sigma = qt.expand(counts, 1.0)
+        dist = qt.dist if qt.identity else qt.expand(qt.dist + np.diag(qt.within), 0)
         dist.setflags(write=False)
         sigma.setflags(write=False)
         g._counts = (dist, sigma)
