@@ -11,8 +11,13 @@ forward level sweep over the twin quotient that `apsp` uses for sigma
 interior weight of a class is its number of non-members, so a class of
 members only is blocked, and the group needs no finer partition.
 gbc_direct reads the counts out to n x n and sums their ratios to
-sigma; gbc_modified reads only its pairs.  The reverse sweep of the
-all-node oracle and the pool's path betweenness stay n x n.
+sigma; gbc_modified reads only its pairs.  The sweep runs on the
+kernel that `apsp` runs on: the sparse product per level, or, on
+high-diameter graphs, the level-indexed gather that fills each entry
+once (graph._GATHER_COST holds the rule and its measurement).  Both
+give the same integer counts.  The reverse sweep of the all-node
+oracle and the pool's path betweenness stay n x n, and the reverse
+sweep stays on the sparse product.
 
 The incremental oracle has two representations.  The all-node one,
 behind greedy_unit and greedy_ratio, keeps the n x n member-avoiding

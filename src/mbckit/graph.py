@@ -16,6 +16,18 @@ weighted by its size, and the n x n results are read out of the class
 space.  The classes are found on the first `apsp` of a graph, not when
 it is built.  A graph whose twins would remove fewer than _MIN_TWINS
 nodes is its own quotient, one class per node.
+
+The forward sweep has two kernels over the q classes.  _level_sweep
+runs one sparse product over all q columns per level, O(levels * (nnz
+* q + q^2)), which suits few levels.  _level_gather fills each entry
+once, at its own level, from its neighbours' entries one level closer,
+O(q^2 * max degree), through a level index built once per quotient:
+the q x q entries ordered by distance, and a padded neighbour table.
+That suits high-diameter graphs such as grids and paths.
+_Quotient.sweep picks one by the cost rule of _GATHER_COST, whose
+comment holds its measurement.  Both sum integers below 2**53, so
+they agree bit for bit.  apsp refuses, with CapExceededError, counts
+that overflow, and n x n arrays over _BYTES_CAP bytes.
 """
 
 from __future__ import annotations
@@ -229,6 +241,11 @@ class PathCounts:
         return self.graph.n
 
 
+# Refuse to build arrays that would need more than this many bytes:
+# the n x n arrays apsp keeps on a graph, and the tree DP's tables.
+_BYTES_CAP = 1 << 30
+
+
 # A graph runs on its twin quotient when that removes at least this many
 # nodes; with fewer, the fixed costs of the quotient (its CSR, the
 # read-out to n x n) outweigh the smaller sweep.  Quotient over plain
@@ -239,6 +256,23 @@ class PathCounts:
 # 0.95 / 0.97 at n = 128 (17 removed) and 0.80 / 0.77 at n = 256 (29);
 # a random graph with 3 twins 1.08 / 1.10.
 _MIN_TWINS = 32
+
+# _Quotient.sweep runs the level-indexed kernel, _level_gather, when
+# _GATHER_COST * q * max degree < levels * (nnz + q), and the sparse
+# product sweep, _level_sweep, otherwise; levels is the largest class
+# distance and nnz the class adjacency's.  Divided by q, the sides are
+# the neighbour slots one gather pass reads and the multiply-adds and
+# masked passes of the sparse products.  Gather time, plus half its
+# index build (an apsp and a gbc_direct share it), over sparse sweep
+# time, best of 5 on a 2-core x86-64 machine, at x = levels * (nnz +
+# q) / (q * max degree): gen_random(120, 14/119) 1.96 at x = 1.9 and
+# gen_random(300, 8/299) 0.91 at 2.6; random trees of 32 nodes 1.04 to
+# 2.39 at 2.9 to 4.6, of 256 nodes 0.56 and 0.58 at 4.9 and 6.3; grids
+# 5x5 1.19 at 8.4, 8x8 0.71 at 15.8 and 20x20 0.15 at 46; paths of 60
+# and 300 nodes 0.48 at 88 and 0.05 at 448.  Per-level overhead makes
+# small graphs break even later than large ones (x near 3), so the
+# constant keeps every 32-node tree (x up to 7.3) on the sparse sweep.
+_GATHER_COST = 10
 
 
 class _Quotient:
@@ -253,12 +287,18 @@ class _Quotient:
     hop distances, which are the distances between members of distinct
     classes.  shared lists (false-twin class, neighbour class) pairs, to
     count the paths between two false twins without a sparse product.
+    top is the largest class distance and degree the largest class
+    degree, the inputs of gathers() with q and adj.nnz; _index is the
+    level index of level_index(), None until the gather first runs.
     A graph with too few twins (see _MIN_TWINS) is its own quotient
     (identity): cls is the identity, adj is g.csr() and dist is the
     graph's own distance array.
     """
 
-    __slots__ = ("q", "cls", "size", "within", "adj", "dist", "shared", "identity")
+    __slots__ = (
+        "q", "cls", "size", "within", "adj", "dist", "shared", "identity", "top", "degree",
+        "_index",
+    )
 
     def __init__(self, g: Graph):
         cls, reps, within = _twin_classes(g)
@@ -287,8 +327,35 @@ class _Quotient:
             self.shared = (rows[false], cols[false])
         dist = csgraph.shortest_path(self.adj, method="D", unweighted=True, directed=False)
         self.dist = dist.astype(np.int64)
+        self.top = int(self.dist.max())
+        self.degree = int(np.diff(self.adj.indptr).max())
+        self._index = None
         for a in (cls, self.size, within, self.dist):
             a.setflags(write=False)
+
+    def gathers(self) -> bool:
+        """Whether sweep() runs the level-indexed kernel (see _GATHER_COST)."""
+        return _GATHER_COST * self.q * self.degree < self.top * (self.adj.nnz + self.q)
+
+    def level_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, bounds, nbrs) for _level_gather, built on first use.
+
+        order lists the flat positions t * q + s of the class-space
+        entries by distance, ascending, and order[bounds[d]:bounds[d +
+        1]] are those at distance d.  Row j of nbrs holds, for each
+        class, the flat offset q * w of its j-th neighbour w's row, or
+        q * q, the zero padding row, where it has fewer neighbours.
+        """
+        if self._index is None:
+            q, A = self.q, self.adj
+            level = self.dist.astype(np.min_scalar_type(self.top)).ravel()
+            order = np.argsort(level, kind="stable")
+            bounds = np.searchsorted(level[order], np.arange(self.top + 2))
+            rows = np.repeat(np.arange(q), np.diff(A.indptr))
+            nbrs = np.full((self.degree, q), q * q, dtype=np.intp)
+            nbrs[np.arange(A.nnz) - A.indptr[rows], rows] = A.indices.astype(np.intp) * q
+            self._index = (order, bounds, nbrs)
+        return self._index
 
     def sweep(self, blocked: np.ndarray | None = None) -> np.ndarray:
         """Class-space counts of the shortest paths that meet no node of
@@ -300,7 +367,8 @@ class _Quotient:
         holds the count between two members of a class: 1 for true
         twins, and the unblocked shared neighbours for false twins.
         Entries of blocked nodes in a partly blocked class are the
-        caller's to zero.
+        caller's to zero.  The kernel is _level_gather where gathers()
+        says so, else _level_sweep.
         """
         if self.identity:
             weights, closed = None, blocked
@@ -310,10 +378,13 @@ class _Quotient:
                 weights = weights - np.bincount(self.cls[blocked], minlength=self.q)
             closed = weights == 0.0
         if closed is None or not closed.any():
-            seeds, closed = np.eye(self.q), None
+            seeds, closed = np.ones(self.q), None
         else:
-            seeds = np.diag((~closed).astype(np.float64))
-        X = _level_sweep(self.adj, self.dist, seeds, closed, weights=weights)
+            seeds = (~closed).astype(np.float64)
+        if self.gathers():
+            X = _level_gather(*self.level_index(), seeds, closed, weights)
+        else:
+            X = _level_sweep(self.adj, self.dist, np.diag(seeds), closed, weights=weights)
         if not self.identity:
             at, nbr = self.shared
             pairs = np.bincount(at, weights=weights[nbr], minlength=self.q)
@@ -399,7 +470,11 @@ def _level_sweep(
     nothing flows through a blocked node.  With weights, every w but the
     source itself counts weights[w] times, as a twin class counts its
     size, or its non-members; only rows of weight above 1 are scaled.
-    Each level costs one sparse product over all columns.
+    Each level costs one sparse product over all columns and a few
+    masked passes over X, so a pass costs O(levels * (nnz * q + q^2))
+    for q columns.  Forward, _level_gather gives the same counts in
+    O(q^2 * max degree), which _Quotient.sweep picks on high-diameter
+    graphs; the reverse sweep runs here only.
     """
     top = int(dist.max())
     up = () if weights is None else np.flatnonzero(weights > 1.0)
@@ -420,6 +495,46 @@ def _level_sweep(
     return X
 
 
+def _level_gather(
+    order: np.ndarray,
+    bounds: np.ndarray,
+    nbrs: np.ndarray,
+    seeds: np.ndarray,
+    blocked: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """The forward _level_sweep from the seeds diag(seeds), entry by entry.
+
+    Level by level along the index of _Quotient.level_index, each entry
+    (t, s) at distance d sums the flow of t's neighbours in column s.
+    Only entries at distance d - 1 hold any yet: farther ones are still
+    zero, and the padding row always is.  The flow of an entry is its
+    count, times weights[t] from level 1 on (a source counts once).
+    Blocked nodes leave the neighbour table, so nothing flows through
+    them, and their counts are zeroed at the end.
+    """
+    q = len(seeds)
+    F = np.zeros((q + 1) * q)  # the flow; row q is the padding
+    F[: q * q : q + 1] = seeds
+    if blocked is not None:
+        nbrs = np.where(np.append(blocked, False)[nbrs // q], q * q, nbrs)
+    X = F if weights is None else F[: q * q].copy()
+    for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
+        at = order[lo:hi]
+        t = at // q
+        s = at - t * q
+        vals = F.take(nbrs[0].take(t) + s)
+        for row in nbrs[1:]:
+            vals += F.take(row.take(t) + s)
+        X[at] = vals
+        if weights is not None:
+            F[at] = vals * weights[t]
+    X = X[: q * q].reshape(q, q)
+    if blocked is not None:
+        X[blocked] = 0.0
+    return X
+
+
 def _quotient(g: Graph) -> _Quotient:
     if g._quotient is None:
         g._quotient = _Quotient(g)
@@ -436,8 +551,10 @@ def apsp(g: Graph) -> PathCounts:
     their degree.  The counts are integers, exact in doubles below 2**53,
     so they equal a sweep over the whole graph bit for bit.  A count
     that overflows raises CapExceededError before any n x n array is
-    built.  Computed once per graph: g keeps the bare read-only arrays,
-    not this PathCounts, which points back at g."""
+    built, and so does a graph whose n x n dist and sigma, with the
+    level index, would need more than _BYTES_CAP bytes.  Computed once
+    per graph: g keeps the bare read-only arrays, not this PathCounts,
+    which points back at g."""
     if g._counts is None:
         qt = _quotient(g)
         with np.errstate(over="ignore"):  # overflow is refused just below
@@ -447,6 +564,14 @@ def apsp(g: Graph) -> PathCounts:
                 "shortest-path counts overflow double precision "
                 f"({g.n} nodes, {qt.q} twin classes)",
                 float("inf"),
+            )
+        index = 0 if qt._index is None else sum(a.nbytes for a in qt._index)
+        need = 16 * g.n * g.n + index  # int64 dist and float64 sigma
+        if need > _BYTES_CAP:
+            raise CapExceededError(
+                f"path counts of {g.n} nodes need about {need / 2**20:.0f} MiB, "
+                f"above the {_BYTES_CAP / 2**20:.0f} MiB cap",
+                need,
             )
         sigma = qt.expand(counts, 1.0)
         dist = qt.dist if qt.identity else qt.expand(qt.dist + np.diag(qt.within), 0)

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ContractViolationError, NotATreeError
+from .graph import _BYTES_CAP as _TABLE_BYTES_CAP  # one cap for apsp and the DP
 from .graph import CostedInstance, Graph, _is_int
 from .greedy import Solution, audit_solution
 
@@ -180,10 +181,6 @@ def _kind(node: TreeNode) -> str:
     if node.chain_group is not None and not node.chain_tail:
         return "chain"
     return "binary"
-
-
-# Refuse a tree whose tables would need more than this (bytes).
-_TABLE_BYTES_CAP = 1 << 30
 
 
 def _table_bytes(tree: RootedTree) -> int:

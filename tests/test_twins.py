@@ -4,17 +4,21 @@ The dense functions below are the level sweep over the whole graph that
 apsp and gbc._avoiding_counts ran before the quotient.  They are kept as
 the reference: every count is an integer below 2**53, so the quotient
 must match them bit for bit, and gbc_direct and gbc_modified, which sum
-the same ratios in the same order, must match exactly too.
+the same ratios in the same order, must match exactly too.  That holds
+under either forward kernel, the sparse product sweep and the
+level-indexed gather, so the bit-identity tests run again under each.
 """
 
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
 import mbckit.graph as graph_mod
+import mbckit.tree as tree_mod
 from mbckit import CapExceededError, Graph, apsp, cli, gbc_direct, gbc_modified
 from mbckit.generators import gen_apx, gen_random, gen_random_tree, gen_tight
 from mbckit.graph import _quotient, _twin_classes, parse_graph
@@ -282,3 +286,153 @@ class TestOverflow:
         code = cli.main(["gbc", "-g", str(doc), "--set", "h0"])
         assert code == 3
         assert "overflow" in capsys.readouterr().err
+
+
+@pytest.fixture(params=["sparse", "gather"])
+def kernel(request, monkeypatch):
+    """Force one forward kernel on every quotient."""
+    gathers = request.param == "gather"
+    monkeypatch.setattr(graph_mod._Quotient, "gathers", lambda self: gathers)
+    return request.param
+
+
+@pytest.mark.usefixtures("kernel")
+class TestBitIdentityPerKernel(TestBitIdentity):
+    """TestBitIdentity again, once under each forced kernel."""
+
+
+def _bench_sized_cases():
+    return [
+        ("grid-20x20", lambda: grid(20, 20)),
+        ("path-200", lambda: path(200)),
+        ("path-90", lambda: path(90)),
+        ("k2-chain-40", lambda: k2_chain(40, 4)),
+    ]
+
+
+def kernel_calls(monkeypatch):
+    """Record the name of each forward kernel as it runs."""
+    calls = []
+    for name in ("_level_sweep", "_level_gather"):
+        real = getattr(graph_mod, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graph_mod, name, counting)
+    return calls
+
+
+class TestKernels:
+    @pytest.mark.parametrize(
+        "name,make", _bench_sized_cases(), ids=[c[0] for c in _bench_sized_cases()]
+    )
+    def test_bench_sized_graphs_match_dense(self, name, make, kernel):
+        g = make()
+        if name.startswith("k2"):
+            assert not _quotient(g).identity
+        assert_matches_dense(g, random.Random(name))
+
+    @pytest.mark.parametrize(
+        "name,make", _bench_sized_cases(), ids=[c[0] for c in _bench_sized_cases()]
+    )
+    def test_high_diameter_graphs_gather(self, name, make, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        g = make()
+        pc = apsp(g)
+        gbc_direct(pc, [0, g.n // 2])
+        gbc_modified(pc, [(0, g.n - 1), (1, 2)], [g.n // 2])
+        assert calls == ["_level_gather"] * 3
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda s=s: gen_random(120, 14 / 119, seed=s) for s in range(5)]
+        + [lambda: gen_tight(3)[0], lambda: gen_tight(2)[0]]
+        + [lambda s=s: gen_random_tree(32, s) for s in range(8)],
+        ids=[f"random-120-{s}" for s in range(5)]
+        + ["tight-3", "tight-2"]
+        + [f"tree-32-{s}" for s in range(8)],
+    )
+    def test_low_diameter_graphs_keep_the_sparse_sweep(self, make, monkeypatch):
+        # er-greedy's graphs, the tight family and tree-dp's 32-node trees
+        calls = kernel_calls(monkeypatch)
+        g = make()
+        pc = apsp(g)
+        gbc_direct(pc, [0, 5])
+        gbc_modified(pc, [(0, 1), (7, 3)], [5])
+        assert calls == ["_level_sweep"] * 3
+        assert _quotient(g)._index is None
+
+    def test_level_index_is_built_once(self, monkeypatch):
+        g = grid(6, 9)
+        qt = _quotient(g)
+        assert qt.gathers()
+        pc = apsp(g)
+        index = qt._index
+        order, bounds, nbrs = index
+        assert len(bounds) == qt.top + 2 and bounds[-1] == qt.q * qt.q
+        assert np.array_equal(qt.dist.ravel()[order], np.sort(qt.dist.ravel()))
+        assert nbrs.shape == (4, qt.q)
+        gbc_direct(pc, [3])
+        gbc_modified(pc, [(0, 1)], [3])
+        assert qt._index is index
+
+
+class TestOverflowThroughTheGather:
+    def test_chain_overflows_on_the_gather_without_warnings(self, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        g = k2_chain(174, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceededError, match="overflow"):
+                apsp(g)
+        assert calls == ["_level_gather"]
+        assert g._counts is None
+
+    def test_nan_counts_are_refused(self, monkeypatch):
+        # inf times a zero weight is NaN; it must not pass for a count
+        g = path(30)
+        real = graph_mod._Quotient.sweep
+
+        def poisoned(self, blocked=None):
+            X = real(self, blocked)
+            X[3, 7] = np.nan
+            return X
+
+        monkeypatch.setattr(graph_mod._Quotient, "sweep", poisoned)
+        with pytest.raises(CapExceededError, match="overflow"):
+            apsp(g)
+        assert g._counts is None
+
+
+class TestDenseGuard:
+    def test_tree_dp_shares_the_cap(self):
+        assert tree_mod._TABLE_BYTES_CAP == graph_mod._BYTES_CAP == 1 << 30
+
+    def test_apsp_refuses_arrays_over_the_cap(self, monkeypatch):
+        g = path(50)
+        monkeypatch.setattr(graph_mod, "_BYTES_CAP", 16 * g.n * g.n - 1)
+        with pytest.raises(CapExceededError, match="cap") as exc:
+            apsp(g)
+        assert exc.value.count > graph_mod._BYTES_CAP
+        assert g._counts is None
+
+    def test_level_index_counts(self, monkeypatch):
+        g = grid(20, 20)
+        monkeypatch.setattr(graph_mod, "_BYTES_CAP", 16 * g.n * g.n + 1000)
+        with pytest.raises(CapExceededError, match="cap"):
+            apsp(g)
+        assert _quotient(g)._index is not None and g._counts is None
+        h = gen_random(120, 14 / 119, seed=0)  # sparse sweep: no index
+        monkeypatch.setattr(graph_mod, "_BYTES_CAP", 16 * h.n * h.n)
+        assert apsp(h).sigma.shape == (h.n, h.n)
+
+    def test_gbc_command_exits_three(self, capsys, tmp_path, monkeypatch):
+        g = path(30)
+        doc = tmp_path / "path.txt"
+        doc.write_text("".join(f"{g.labels[u]} {g.labels[v]}\n" for u, v in g.edge_list))
+        monkeypatch.setattr(graph_mod, "_BYTES_CAP", 1000)
+        code = cli.main(["gbc", "-g", str(doc), "--set", "5"])
+        assert code == 3
+        assert "cap" in capsys.readouterr().err
