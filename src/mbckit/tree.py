@@ -18,18 +18,30 @@ Nodes with three or more children are expanded into a chain of binary
 gates that stand in for the original node atomically; the last gate
 carries the original's cost and identity.
 
-A join reads closed rows only ("cover at least sigma"), and a closed
-row is nondecreasing, so it joins only at step ends: columns whose
-successor costs strictly more, or the last finite one.  A candidate
-(s1, s2) whose s1 is not a step end is matched at the same cost by
-(s1 + 1, s2) one column further on, and likewise for s2, so it is never
-the largest column attaining a closed minimum, which is the only column
-that reconstruction reads.  Per node the fill retains only what
-reconstruction reads: int32 closedsrc and Marg, plus int32 chm1/chs1 on
-binary and chain nodes.  A child's float64 closed rows and M are
-released once its parent is filled; the root keeps them.  The fill
-refuses up front, with CapExceededError, a tree whose tables would
-need more than _TABLE_BYTES_CAP bytes.
+A join reads closed rows only ("cover at least sigma").  A closed row
+is nondecreasing, so it is fixed by its step ends: the finite columns
+whose successor costs strictly more.  They are the Pareto frontier of
+(pairs covered, cost), the undominated points of the dominance-list
+knapsack DP (Nemhauser and Ullmann, 1969).  Every node keeps its closed
+rows only as step points, a small fraction of the dense
+(R+1)×(R(R−1)/2+1) cells, plus the step ends of M (the cheapest cost
+over all top counts) and Marg, the smallest top count reaching each.
+
+A unary node shifts its child's rows by the pairs they gain.  A binary
+or chain node lists every pair of its children's step points as a
+candidate in flat arrays, then keeps each row's frontier with one
+lexsort and one running maximum (_front).  A candidate (s1, s2) whose s1
+is not a step end would be matched at the same cost by the step end
+after s1, at a larger column, so only step ends need pairing.  Ties go
+to the smallest (m1, s1), as a dense join scanning in that order would
+record them; tests/test_tree.py keeps such a join as the reference.
+
+Per node the fill retains int32 arrays only: step ends, row starts, M's
+step ends and Marg, plus chm1/chs1 per step point on binary and chain
+nodes.  A child's float64 costs are released once its parent is
+filled; the root keeps them.  The fill refuses up front, with
+CapExceededError, a tree whose dense tables would need more than
+_TABLE_BYTES_CAP bytes (_table_bytes).
 """
 
 from __future__ import annotations
@@ -184,12 +196,13 @@ def _kind(node: TreeNode) -> str:
 
 
 def _table_bytes(tree: RootedTree) -> int:
-    """Bytes the fill needs, from the binarized subtree sizes alone.
+    """Bytes a dense fill would need, from the binarized subtree sizes
+    alone: the refusal rule, kept as a dense upper bound.
 
-    Every node retains an int32 closedsrc cell per (m, sigma); binary
-    and chain nodes also retain int32 chm1 and chs1.  On top come the
-    float64 rows alive while the largest node fills: its own, closed in
-    place, and its children's closed rows, which are fewer cells.
+    It counts an int32 closedsrc cell per (m, sigma) at every node, int32
+    chm1 and chs1 on binary and chain nodes, and the float64 rows alive
+    while the largest node fills.  The step-point fill keeps a subset of
+    those cells, plus a few int32 per row, so it holds far less.
     """
     retained = largest = 0
     for node in tree.nodes:
@@ -200,78 +213,85 @@ def _table_bytes(tree: RootedTree) -> int:
     return retained + 16 * largest
 
 
+# Join candidates per frontier pass.  It bounds the join's temporaries,
+# a dozen int64 and float64 arrays over the candidates, whatever the
+# children's step-point counts.  On random trees of 120 and 300 nodes,
+# 2**14 to 2**16 ran faster than 2**20 and held less memory.
+_CHUNK = 1 << 16
+
+
 class _NodeTable:
-    __slots__ = ("closed", "closedsrc", "chm1", "chs1", "M", "Marg", "cap", "R", "kind")
+    """One node's closed rows as step points.
+
+    Row m's step ends are ends[start[m]:start[m + 1]], increasing, with
+    strictly increasing costs vals at the same positions; closed[m, s]
+    is the cost at row m's first step end at or after s.  Mends, M and
+    Marg are the step ends of M, the closure of all rows together, its
+    costs, and the smallest row attaining each.  chm1 and chs1 give, per
+    step point of a binary or chain node, the left child's row and
+    column that produced it.  vals and M are float64 and are released
+    once the parent is filled; every other array is int32.
+    """
+
+    __slots__ = ("R", "cap", "kind", "start", "ends", "vals", "chm1", "chs1", "Mends", "M", "Marg")
 
     def __init__(self, R: int, kind: str):
         self.R = R
         self.cap = R * (R - 1) // 2
         self.kind = kind
-        self.closed = None
-        self.closedsrc = None
-        self.chm1 = None
-        self.chs1 = None
-        self.M = None
-        self.Marg = None
+        self.chm1 = self.chs1 = None
+
+    def first_end(self, m: int, sigma: int) -> tuple[int, int]:
+        """Position of row m's first step end at or after sigma, and the
+        row's end position (returned as the first when there is none)."""
+        lo, hi = int(self.start[m]), int(self.start[m + 1])
+        return lo + int(np.searchsorted(self.ends[lo:hi], sigma)), hi
+
+    def marg(self, sigma: int) -> int:
+        """Marg at sigma, one of M's step ends."""
+        return int(self.Marg[np.searchsorted(self.Mends, sigma)])
 
 
-def _close_rows(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix-minimize each row over sigma ("cover at least sigma") in
-    place, remembering which exact column realizes each closed entry.
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(lo[k], lo[k] + n[k]) over k."""
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
-    That column is the largest one attaining the suffix minimum, which
-    is the first step end at or after sigma: a column whose closed
-    successor costs strictly more, or the last column if finite.
-    Columns with no finite entry from them on point one past the row.
+
+def _front(col: np.ndarray, val: np.ndarray, group: np.ndarray | None = None, width: int = 0):
+    """Positions of each group's Pareto points (a closed row's step
+    ends), in (group, col) order.
+
+    A point is kept when it is the cheapest at its column, the earliest
+    position among equals, and strictly cheaper than every point at a
+    larger column of its group.  Sorted stably by (group, val, -col), a
+    point qualifies exactly when its column exceeds every column before
+    it in its group.  Offsetting each group by width (more than any
+    column) lets one running maximum serve all groups.
     """
-    L = vals.shape[1]
-    np.minimum.accumulate(vals[:, ::-1], axis=1, out=vals[:, ::-1])
-    ends = np.empty(vals.shape, dtype=bool)
-    np.less(vals[:, :-1], vals[:, 1:], out=ends[:, :-1])
-    ends[:, -1] = np.isfinite(vals[:, -1])
-    closedsrc = np.where(ends, np.arange(L, dtype=np.int32), np.int32(L))
-    np.minimum.accumulate(closedsrc[:, ::-1], axis=1, out=closedsrc[:, ::-1])
-    return vals, closedsrc
-
-
-def _steps(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step ends of a closed row and their costs.
-
-    A closed row is nondecreasing, so its finite entries form a prefix.
-    A step end is a finite column whose successor costs strictly more
-    or is infinite.
-    """
-    n = int(np.searchsorted(row, np.inf))
-    if n == 0:
-        ends = np.zeros(0, dtype=np.intp)
+    if group is None:
+        order = np.lexsort((-col, val))
+        key = col[order]
     else:
-        ends = np.append(np.flatnonzero(row[1:n] > row[: n - 1]), n - 1)
-    return ends, row[ends]
+        order = np.lexsort((-col, val, group))
+        key = col[order] + group[order] * width
+    keep = np.ones(len(order), dtype=bool)
+    np.greater(key[1:], np.maximum.accumulate(key[:-1]), out=keep[1:])
+    return order[keep]
 
 
-def _combine(dest, dm1, ds1, steps_a, steps_b, off, m1):
-    """dest[s1 + s2 + off] = min over step ends s1, s2 of row_a[s1] + row_b[s2],
-    recording the first winning (m1, s1) for reconstruction; steps_a and
-    steps_b are the _steps of the closed rows row_a and row_b."""
-    ends_b, vals_b = steps_b
-    for s1, v1 in zip(*(a.tolist() for a in steps_a)):
-        cols = ends_b + (s1 + off)
-        cand = v1 + vals_b
-        better = cand < dest[cols]
-        if better.any():
-            cols = cols[better]
-            dest[cols] = cand[better]
-            dm1[cols] = m1
-            ds1[cols] = s1
+def _last_of_equal_runs(vals: np.ndarray) -> np.ndarray:
+    """Mask keeping the last of each run of equal costs in a nondecreasing row."""
+    keep = np.ones(len(vals), dtype=bool)
+    np.less(vals[:-1], vals[1:], out=keep[:-1])
+    return keep
 
 
 class DpTable:
     """Per-node cost tables over (top-node count, covered-pair demand).
 
-    Joins run over the step ends of closed rows only (see the module
-    docstring).  Each node keeps its int32 traceback state; the float64
-    closed rows and M survive at the root alone, so cost() answers for
-    the root only.
+    Each node keeps its closed rows as step points (see the module
+    docstring and _NodeTable); the float64 costs survive at the root
+    alone, so cost() answers for the root only.
     """
 
     def __init__(self, tree: RootedTree):
@@ -302,89 +322,155 @@ class DpTable:
         kind = _kind(node)
         R = node.subtree_size
         nt = _NodeTable(R, kind)
-        cap = nt.cap
-        vals = np.full((R + 1, cap + 1), np.inf)
 
         if kind == "leaf":
-            vals[1, 0] = 0.0
-            vals[0, 0] = node.cost
+            counts = np.ones(2, dtype=np.int64)
+            ends = np.zeros(2, dtype=np.int64)
+            vals = np.array([node.cost, 0.0])
         elif kind == "unary":
+            # row m >= 1 is the child's row m - 1, which gains a credit of
+            # Rc - (m - 1) pairs; row 0 chooses this node over the child's M
             ct = self.tables[node.children[0]]
             Rc = ct.R
-            for m in range(1, R + 1):
-                m1 = m - 1
-                credit = Rc - m1
-                vals[m, credit : credit + ct.cap + 1] = ct.closed[m1]
-            vals[0, Rc : Rc + ct.cap + 1] = node.cost + ct.M
+            vals0 = node.cost + ct.M
+            keep = _last_of_equal_runs(vals0)
+            n = np.diff(ct.start)
+            credit = np.repeat(Rc - np.arange(Rc + 1), n)
+            ends = np.concatenate((ct.Mends[keep] + Rc, ct.ends + credit))
+            vals = np.concatenate((vals0[keep], ct.vals))
+            counts = np.concatenate(([np.count_nonzero(keep)], n))
         else:
-            t1 = self.tables[node.children[0]]
-            t2 = self.tables[node.children[1]]
-            R1, R2 = t1.R, t2.R
-            steps1 = [_steps(row) for row in t1.closed]
-            steps2 = [_steps(row) for row in t2.closed]
-            chm1 = np.full((R + 1, cap + 1), -1, dtype=np.int32)
-            chs1 = np.full((R + 1, cap + 1), -1, dtype=np.int32)
-            nt.chm1, nt.chs1 = chm1, chs1
-            # a binary node owns one more top node; a chain gate owns none
-            e = int(kind == "binary")
-            sbar = R1 * R2 + e * (R1 + R2)
-            for m1 in range(R1 + 1):
-                for m2 in range(1 - e, R2 + 1):
-                    off = sbar - (m1 * m2 + e * (m1 + m2))
-                    m = m1 + m2 + e
-                    _combine(vals[m], chm1[m], chs1[m], steps1[m1], steps2[m2], off, m1)
-            base = np.full(cap + 1, np.inf)
-            right = _steps(t2.M) if e else steps2[0]
-            _combine(base, chm1[0], chs1[0], _steps(t1.M), right, sbar, -2)
-            # non-tail gates cost 0.0, which leaves base's bits unchanged
-            vals[0] = node.cost + base
+            counts, ends, vals, nt.chm1, nt.chs1 = self._join(node, kind, nt.cap)
 
-        nt.closed, nt.closedsrc = _close_rows(vals)
-        nt.M = nt.closed.min(axis=0)
-        nt.Marg = nt.closed.argmin(axis=0).astype(np.int32)
+        nt.start = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+        nt.ends = ends.astype(np.int32)
+        nt.vals = vals
+        rows = np.repeat(np.arange(R + 1, dtype=np.int32), counts)
+        top = _front(ends, vals)  # ties go to the first, smallest row
+        nt.Mends, nt.M, nt.Marg = nt.ends[top], vals[top], rows[top]
         self.tables[idx] = nt
         for c in node.children:
-            self.tables[c].closed = self.tables[c].M = None
+            self.tables[c].vals = self.tables[c].M = None
+
+    def _join(self, node: TreeNode, kind: str, cap: int):
+        """Closed rows of a binary or chain node from its children's step points.
+
+        Every pair of step points of a left row m1 and a right row m2 is
+        a candidate for row m = m1 + m2 + e at column s1 + s2 + off;
+        row 0 (this node chosen) pairs the left M with the right M, or a
+        gate with the next gate's row 0.  Candidates are listed block by
+        block in (m, m1) order, s1 then s2 within a block, so the first
+        of equal candidates has the smallest (m1, s1), as the dense join
+        recorded it.
+        """
+        t1, t2 = (self.tables[c] for c in node.children)
+        R1, R2 = t1.R, t2.R
+        # a binary node owns one more top node; a chain gate owns none
+        e = int(kind == "binary")
+        sbar = R1 * R2 + e * (R1 + R2)
+        m1, m2 = (g.ravel() for g in np.meshgrid(np.arange(R1 + 1), np.arange(1 - e, R2 + 1), indexing="ij"))
+        by_row = np.lexsort((m1, m1 + m2))
+        m1, m2 = m1[by_row], m2[by_row]
+        n1, n2 = np.diff(t1.start), np.diff(t2.start)
+        # blocks index the left points t1.ends + t1.Mends and the right t2.ends + t2.Mends
+        a_lo = np.concatenate(([len(t1.ends)], t1.start[m1]))
+        a_n = np.concatenate(([len(t1.Mends)], n1[m1]))
+        b_lo = np.concatenate(([len(t2.ends) if e else 0], t2.start[m2]))
+        b_n = np.concatenate(([len(t2.Mends) if e else n2[0]], n2[m2]))
+        off = np.concatenate(([sbar], sbar - (m1 * m2 + e * (m1 + m2))))
+        row = np.concatenate(([0], m1 + m2 + e))
+        tag = np.concatenate(([-2], m1))  # row 0 records no left row
+        lends = np.concatenate((t1.ends, t1.Mends)).astype(np.int64)
+        lvals = np.concatenate((t1.vals, t1.M))
+        rends = np.concatenate((t2.ends, t2.Mends)).astype(np.int64)
+        rvals = np.concatenate((t2.vals, t2.M))
+
+        # one line per (block, left point); a line holds b_n[block] candidates
+        line_blk = np.repeat(np.arange(len(a_n)), a_n)
+        line_a = _ranges(a_lo, a_n)
+        line_n = b_n[line_blk]
+        total = np.cumsum(line_n)
+        cuts = np.searchsorted(total, np.arange(_CHUNK, total[-1], _CHUNK), side="right")
+        bounds = np.concatenate(([0], cuts, [len(line_n)]))
+
+        def candidates(lo: int, hi: int):
+            n = line_n[lo:hi]
+            blk = np.repeat(line_blk[lo:hi], n)
+            ia = np.repeat(line_a[lo:hi], n)
+            ib = _ranges(b_lo[line_blk[lo:hi]], n)
+            return row[blk], lends[ia] + rends[ib] + off[blk], lvals[ia] + rvals[ib], tag[blk], lends[ia]
+
+        width = cap + 2
+        if len(bounds) == 2:
+            cand = candidates(0, len(line_n))
+        else:  # the front of the chunks' fronts; a chunk's front has no ties within
+            parts = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                c = candidates(lo, hi)
+                keep = _front(c[1], c[2], c[0], width)
+                parts.append([a[keep] for a in c])
+            cand = [np.concatenate(a) for a in zip(*parts)]
+        keep = _front(cand[1], cand[2], cand[0], width)
+        m, ends, vals, chm1, chs1 = (a[keep] for a in cand)
+        # non-tail gates cost 0.0, which leaves the sums' bits unchanged
+        k0 = int(np.searchsorted(m, 1))
+        vals[:k0] += node.cost
+        keep = np.ones(len(m), dtype=bool)
+        keep[:k0] = _last_of_equal_runs(vals[:k0])
+        counts = np.bincount(m[keep], minlength=node.subtree_size + 1)
+        return counts, ends[keep], vals[keep], chm1[keep].astype(np.int32), chs1[keep].astype(np.int32)
 
     def cost(self, idx: int, sigma: int, m: int) -> float:
         """Cheapest cost covering at least sigma pairs with at least m tops.
 
-        Answers for the root only: every other node's closed rows are
-        released once its parent is filled.
+        Answers for the root only: every other node's costs are released
+        once its parent is filled.
         """
         if not (_is_int(sigma) and sigma >= 0):
             raise ContractViolationError(f"sigma must be a nonnegative integer, got {sigma!r}")
+        if not (_is_int(m) and m >= 0):
+            raise ContractViolationError(f"m must be a nonnegative integer, got {m!r}")
         nt = self.tables[idx]
-        if nt.closed is None:
+        if nt.vals is None:
             raise ContractViolationError(
                 f"node {idx}'s cost rows were released once its parent was filled; "
                 "cost() answers for the root only"
             )
         if sigma > nt.cap or m > nt.R:
             return float("inf")
-        if m <= 0:
-            return float(nt.M[sigma])
-        return float(nt.closed[m:, sigma].min())
+        if m == 0:
+            k = int(np.searchsorted(nt.Mends, sigma))
+            return float(nt.M[k]) if k < len(nt.M) else float("inf")
+        best = float("inf")
+        for r in range(m, nt.R + 1):
+            p, hi = nt.first_end(r, sigma)
+            if p < hi:
+                best = min(best, float(nt.vals[p]))
+        return best
 
     def reconstruct(self, budget: float) -> tuple[set[int], int]:
         """Chosen graph nodes and the best coverage within the budget."""
+        if not budget >= 0:  # also refuses NaN
+            raise ContractViolationError(f"budget must be nonnegative, got {budget!r}")
         tree = self.tree
         root_t = self.tables[tree.root]
-        feasible = np.flatnonzero(root_t.M <= budget)
-        sigma_star = int(feasible.max())
+        # M starts at 0.0 (nothing chosen), so some step end fits the budget
+        k = int(np.searchsorted(root_t.M, budget, side="right")) - 1
+        sigma_star = int(root_t.Mends[k])
         chosen: set[int] = set()
         self.trace = {}
-        work: list[tuple[int, int, int]] = []
+        work: list[tuple[int, int, int, int]] = []
 
         def push(idx: int, m: int, sigma_closed: int) -> None:
             nt = self.tables[idx]
-            s_exact = int(nt.closedsrc[m, sigma_closed])
+            p, hi = nt.first_end(m, sigma_closed)
+            s_exact = int(nt.ends[p]) if p < hi else nt.cap + 1
             self.trace[idx] = (m, s_exact)
-            work.append((idx, m, s_exact))
+            work.append((idx, m, s_exact, p))
 
-        push(tree.root, int(root_t.Marg[sigma_star]), sigma_star)
+        push(tree.root, int(root_t.Marg[k]), sigma_star)
         while work:
-            idx, m, se = work.pop()
+            idx, m, se, p = work.pop()
             node = tree.nodes[idx]
             nt = self.tables[idx]
             kind = nt.kind
@@ -400,15 +486,15 @@ class DpTable:
                 else:
                     chosen.add(node.graph_node)
                     s1 = se - ct.R
-                    push(node.children[0], int(ct.Marg[s1]), s1)
+                    push(node.children[0], ct.marg(s1), s1)
                 continue
             c1, c2 = node.children
             t1, t2 = self.tables[c1], self.tables[c2]
             e = int(kind == "binary")
             sbar = t1.R * t2.R + e * (t1.R + t2.R)
+            s1 = int(nt.chs1[p])
             if m >= 1:
-                m1 = int(nt.chm1[m, se])
-                s1 = int(nt.chs1[m, se])
+                m1 = int(nt.chm1[p])
                 m2 = m - e - m1
                 off = sbar - (m1 * m2 + e * (m1 + m2))
                 push(c1, m1, s1)
@@ -417,10 +503,9 @@ class DpTable:
                 if e:
                     owner = node.graph_node if node.graph_node is not None else node.chain_group
                     chosen.add(owner)
-                s1 = int(nt.chs1[0, se])
                 s2 = se - sbar - s1
-                push(c1, int(t1.Marg[s1]), s1)
-                push(c2, int(t2.Marg[s2]) if e else 0, s2)
+                push(c1, t1.marg(s1), s1)
+                push(c2, t2.marg(s2) if e else 0, s2)
         return chosen, sigma_star
 
 
