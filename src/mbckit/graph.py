@@ -2,9 +2,20 @@
 
 Graphs are undirected, unweighted, simple, and connected.  Node ids are
 dense integers assigned by first appearance in the edge list; the
-original labels are kept for reporting.  All-pairs hop distances and
-shortest-path counts are computed once per graph by `apsp`, kept on
-the graph, and shared read-only by every solver.
+original labels are kept for reporting.
+
+A graph is built in a few array passes over its flat label list, with
+no Python object per edge: ids come from one dict of the distinct
+labels and one np.fromiter, and one sort of the keys u * n + v of both
+orientations gives the CSR's entries in row order.  Two equal keys mean
+a self-loop or a duplicate edge; only then is the input searched for
+the first offending edge.  Connectivity is one breadth-first order on
+the CSR.  The CSR is the one stored adjacency: the neighbour lists adj
+and the sorted edge tuple edge_list are derived from it on first use.
+
+All-pairs hop distances and shortest-path counts are computed once per
+graph by `apsp`, kept on the graph, and shared read-only by every
+solver.
 
 Counting runs on the twin quotient, the structural-equivalence
 reduction of Puzis, Zilberman, Elovici, Dolev and Brandes ("Heuristics
@@ -33,8 +44,12 @@ that overflow, and n x n arrays over _BYTES_CAP bytes.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -67,89 +82,115 @@ __all__ = [
 
 
 class Graph:
-    """Immutable undirected connected simple graph with dense node ids."""
+    """Immutable undirected connected simple graph with dense node ids.
+
+    labels[v] is the label of node v and id_of its inverse; ids follow
+    the labels' first appearance in the edge list.  The CSR of csr() is
+    the one stored adjacency: int32 (int64 past 2**31 entries) indices,
+    each row sorted, float64 ones as data.  adj (sorted neighbour lists)
+    and edge_list (the (u, v) pairs with u < v, sorted) hold plain
+    Python ints and are derived from it on first use; callers must not
+    mutate them.  Labels that are not str are stored as str(label).
+    """
 
     __slots__ = (
-        "n", "m", "labels", "id_of", "adj", "edge_list", "_csr", "_quotient", "_counts"
+        "n", "m", "labels", "id_of", "_csr", "_adj", "_edge_list", "_quotient", "_counts"
     )
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
-        id_of: dict[str, int] = {}
-        pairs: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for a, b in edges:
-            a, b = str(a), str(b)
-            if a == b:
-                raise SelfLoopError(f"self-loop at node {a!r}")
-            for lab in (a, b):
-                if lab not in id_of:
-                    id_of[lab] = len(id_of)
-            u, v = id_of[a], id_of[b]
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdgeError(f"duplicate edge {a!r} {b!r}")
-            seen.add(key)
-            pairs.append(key)
+        if type(edges) is not list:
+            edges = list(edges)
+        try:
+            pairs = set(map(len, edges)) <= {2}
+        except TypeError:
+            pairs = False
         if not pairs:
-            raise FormatError("graph has no edges")
-        n = len(id_of)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj:
-            nbrs.sort()
-        self.n = n
-        self.m = len(pairs)
-        self.labels = tuple(lab for lab, _ in sorted(id_of.items(), key=lambda kv: kv[1]))
-        self.id_of = id_of
-        self.adj = adj
-        self.edge_list = tuple(sorted(pairs))
-        self._csr = None
-        self._quotient = None
-        self._counts = None
-        self._check_connected()
+            edges = [(a, b) for a, b in edges]  # raises on the first record that is not a pair
+        self._build(list(chain.from_iterable(edges)))
 
-    def _check_connected(self) -> None:
-        seen = [False] * self.n
-        seen[0] = True
-        frontier = [0]
-        count = 1
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        count += 1
-                        nxt.append(w)
-            frontier = nxt
-        if count != self.n:
+    @classmethod
+    def _from_labels(cls, flat: list, labels: dict | None = None) -> "Graph":
+        """The graph of the edges (flat[0], flat[1]), (flat[2], flat[3]), ...
+
+        labels, if given, is dict.fromkeys(flat) and every label a str.
+        """
+        g = cls.__new__(cls)
+        g._build(flat, labels)
+        return g
+
+    def _build(self, flat: list, labels: dict | None = None) -> None:
+        if labels is None:
+            labels = _distinct_str(flat)
+            if labels is None:
+                flat = list(map(str, flat))
+                labels = dict.fromkeys(flat)
+        if not flat:
+            raise FormatError("graph has no edges")
+        labels = tuple(labels)
+        n = len(labels)
+        id_of = dict(zip(labels, range(n)))
+        ids = np.fromiter(map(id_of.__getitem__, flat), dtype=np.int64, count=len(flat))
+        u, v = ids[0::2], ids[1::2]
+        # each edge in both orientations, sorted: the CSR's entries in row order;
+        # a self-loop or a duplicate edge shows as two equal keys
+        keys = np.concatenate((u * n + v, v * n + u))
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            _reject(flat, u, v, n)
+        idx = np.int32 if len(keys) < 2**31 else np.int64
+        indices = (keys % n).astype(idx)
+        indptr = keys.searchsorted(np.arange(0, n * n + 1, n)).astype(idx)
+        A = sparse.csr_matrix((np.ones(len(keys)), indices, indptr), shape=(n, n))
+        A.has_sorted_indices = True
+        reached = len(csgraph.breadth_first_order(A, 0, directed=True, return_predecessors=False))
+        if reached != n:
             raise DisconnectedGraphError(
-                f"graph is disconnected ({count} of {self.n} nodes reachable)"
+                f"graph is disconnected ({reached} of {n} nodes reachable)"
             )
+        self.n = n
+        self.m = len(u)
+        self.labels = labels
+        self.id_of = id_of
+        self._csr = A
+        self._adj = self._edge_list = self._quotient = self._counts = None
+
+    @property
+    def adj(self) -> list[list[int]]:
+        """Sorted neighbour lists, one per node, derived from the CSR on first use."""
+        if self._adj is None:
+            ptr = self._csr.indptr.tolist()
+            nbrs = self._csr.indices.tolist()
+            self._adj = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
+        return self._adj
+
+    @property
+    def edge_list(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) with u < v, sorted, derived from the CSR on first use."""
+        if self._edge_list is None:
+            A = self._csr
+            rows = np.repeat(np.arange(self.n), np.diff(A.indptr))
+            upper = A.indices > rows
+            self._edge_list = tuple(zip(rows[upper].tolist(), A.indices[upper].tolist()))
+        return self._edge_list
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        _check_node(self, v)
+        return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
 
     def neighbors(self, v: int) -> Sequence[int]:
         """Sorted neighbor ids of v. Callers must not mutate the list."""
+        _check_node(self, v)
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
+        _check_node(self, u)
+        _check_node(self, v)
         a = self.adj[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+        i = bisect.bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def label(self, v: int) -> str:
+        _check_node(self, v)
         return self.labels[v]
 
     def ids(self, labels: Iterable[str]) -> list[int]:
@@ -162,18 +203,38 @@ class Graph:
         return out
 
     def csr(self) -> sparse.csr_matrix:
-        if self._csr is None:
-            degrees = np.array([len(a) for a in self.adj], dtype=np.int64)
-            indptr = np.concatenate([[0], np.cumsum(degrees)])
-            indices = np.fromiter(
-                (w for a in self.adj for w in a), dtype=np.int64, count=2 * self.m
-            )
-            data = np.ones(2 * self.m, dtype=np.float64)
-            self._csr = sparse.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
         return self._csr
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _distinct_str(flat: list) -> dict | None:
+    """dict.fromkeys(flat) if every label is a str, else None.
+
+    Only the distinct labels are type-checked: a label of another type
+    never equals a str, so it would be distinct too, unless it is a str
+    subclass's, which names the same node as str(label) would.
+    """
+    try:
+        labels = dict.fromkeys(flat)
+    except TypeError:  # an unhashable label
+        return None
+    return None if set(map(type, labels)) - {str} else labels
+
+
+def _reject(flat: list, u: np.ndarray, v: np.ndarray, n: int) -> None:
+    """Raise for the first edge, in input order, that is a self-loop or
+    repeats an earlier edge in either orientation."""
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(key, kind="stable")  # equal keys stay in input order
+    flags = u == v
+    flags[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    first = int(np.flatnonzero(flags)[0])
+    a, b = str(flat[2 * first]), str(flat[2 * first + 1])
+    if a == b:
+        raise SelfLoopError(f"self-loop at node {a!r}")
+    raise DuplicateEdgeError(f"duplicate edge {a!r} {b!r}")
 
 
 def _is_int(x) -> bool:
@@ -436,9 +497,8 @@ def _twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for a, b in zip(lo[hi - lo > 1].tolist(), hi[hi - lo > 1].tolist()):
             firsts: list[tuple[int, list[int]]] = []
             for v in order[a:b].tolist():
-                nbrs = g.adj[v]
+                nbrs = A.indices[A.indptr[v] : A.indptr[v + 1]].tolist()
                 if d == 1:
-                    nbrs = nbrs.copy()
                     bisect.insort(nbrs, v)
                 for r, seen in firsts:
                     if seen == nbrs:
@@ -625,7 +685,13 @@ def enumerate_shortest_paths(
 
 
 def _load_document(text: str):
-    """Split a graph document into (edge label pairs, costs or None, budget or None)."""
+    """Split a graph document into (edges, costs or None, budget or None).
+
+    edges are the arguments of Graph._from_labels: the flat label list,
+    the labels of edge i at 2 i and 2 i + 1, and its distinct labels or
+    None.  JSON endpoints must be strings or integers, and JSON costs
+    numbers.
+    """
     head = text.lstrip()
     if not head:
         raise FormatError("empty graph document")
@@ -639,28 +705,33 @@ def _load_document(text: str):
         raw = doc["edges"]
         if not isinstance(raw, list):
             raise FormatError("'edges' must be a list of [u, v] pairs")
-        pairs = []
-        for item in raw:
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                raise FormatError(f"bad edge record {item!r}")
-            pairs.append((str(item[0]), str(item[1])))
+        flat = labels = None
+        if set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}:
+            flat = list(chain.from_iterable(raw))
+            labels = _distinct_str(flat)
+        if labels is None and (flat is None or not set(map(type, flat)) <= {str, int}):
+            for item in raw:
+                if not (type(item) is list and len(item) == 2):
+                    raise FormatError(f"bad edge record {item!r}")
+                if not {type(item[0]), type(item[1])} <= {str, int}:
+                    raise FormatError(
+                        f"bad edge record {item!r}: endpoints must be strings or integers"
+                    )
         costs = doc.get("costs")
         if costs is not None:
             if not isinstance(costs, dict):
                 raise FormatError("'costs' must be an object of label: number")
-            clean = {}
-            for lab, val in costs.items():
-                if not isinstance(val, (int, float)) or isinstance(val, bool):
-                    raise FormatError(f"cost for {lab!r} is not a number")
-                clean[str(lab)] = float(val)
-            costs = clean
+            if not set(map(type, costs.values())) <= {int, float}:
+                for lab, val in costs.items():
+                    if type(val) not in (int, float):  # bool, null, strings, ...
+                        raise FormatError(f"cost for {lab!r} is not a number")
         budget = doc.get("budget")
         if budget is not None and (
             not isinstance(budget, (int, float)) or isinstance(budget, bool)
         ):
             raise FormatError("'budget' must be a number")
-        return pairs, costs, budget
-    pairs = []
+        return (flat, labels), costs, budget
+    flat = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -668,19 +739,20 @@ def _load_document(text: str):
         parts = body.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {raw!r}")
-        pairs.append((parts[0], parts[1]))
-    return pairs, None, None
+        flat += parts
+    return (flat, None), None, None
 
 
 def parse_graph(text: str) -> Graph:
     """Build a Graph from an edge-list or JSON document.
 
     Edge-list lines hold two whitespace-separated labels; '#' starts a
-    comment.  The JSON form is {"edges": [[u, v], ...], ...} with
+    comment.  The JSON form is {"edges": [[u, v], ...], ...}, each
+    endpoint a string or an integer (read as its decimal string), with
     optional "costs" and "budget" keys that are ignored here.
     """
-    pairs, _, _ = _load_document(text)
-    return Graph(pairs)
+    edges, _, _ = _load_document(text)
+    return Graph._from_labels(*edges)
 
 
 def parse_costs(text: str, g: Graph) -> np.ndarray:
@@ -705,15 +777,37 @@ def parse_costs(text: str, g: Graph) -> np.ndarray:
 
 
 def cost_array(g: Graph, mapping: Mapping[str, float]) -> np.ndarray:
+    """The cost vector of g: mapping[label] for each label it names
+    (labels are read as str(label)), 1.0 for the others.  Raises for
+    the first bad entry in mapping order: UnknownLabelError for a label
+    not in g, FormatError for a cost that is not a finite nonnegative
+    real number."""
+    labs = list(mapping)
+    if set(map(type, labs)) - {str}:
+        labs = list(map(str, labs))
+    vals = list(mapping.values())
+    ids = np.fromiter(map(g.id_of.get, labs, repeat(-1)), dtype=np.int64, count=len(labs))
     arr = np.ones(g.n, dtype=np.float64)
-    for lab, val in mapping.items():
-        lab = str(lab)
-        if lab not in g.id_of:
+    if all(issubclass(t, numbers.Real) for t in set(map(type, vals))):
+        with contextlib.suppress(OverflowError):  # an int beyond the doubles: refused below
+            costs = np.fromiter(vals, dtype=np.float64, count=len(vals))
+            if (ids >= 0).all() and (np.isfinite(costs) & (costs >= 0)).all():
+                arr[ids] = costs
+                return arr
+    for lab, v, val in zip(labs, ids.tolist(), vals):
+        if v < 0:
             raise UnknownLabelError(f"cost entry for unknown label {lab!r}")
-        if not np.isfinite(val) or val < 0:
+        if not (isinstance(val, numbers.Real) and _finite_nonnegative(val)):
             raise FormatError(f"cost for {lab!r} must be finite and nonnegative")
-        arr[g.id_of[lab]] = float(val)
+        arr[v] = float(val)
     return arr
+
+
+def _finite_nonnegative(val: numbers.Real) -> bool:
+    try:
+        return math.isfinite(val) and val >= 0
+    except OverflowError:  # an int beyond the doubles
+        return False
 
 
 def parse_instance(
@@ -723,8 +817,8 @@ def parse_instance(
 
     Explicit arguments win over values embedded in a JSON document.
     """
-    pairs, jcosts, jbudget = _load_document(text)
-    g = Graph(pairs)
+    edges, jcosts, jbudget = _load_document(text)
+    g = Graph._from_labels(*edges)
     if costs_text is not None:
         cost = parse_costs(costs_text, g)
     elif jcosts is not None:

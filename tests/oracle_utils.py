@@ -173,3 +173,60 @@ def connected_labeled_graphs(n):
         edges = [slots[i] for i in range(len(slots)) if bits >> i & 1]
         if len(edges) >= n - 1 and is_connected(n, edges):
             yield tuple(edges)
+
+
+class LoopGraph:
+    """The per-edge loop constructor that the array-built Graph replaced,
+    kept as its reference.
+
+    It reads labels as str(label), gives ids by first appearance, and
+    raises mbckit's error types with the same messages, for the first
+    offending edge in input order.  indptr and indices are the CSR the
+    neighbour lists give, as plain lists.
+    """
+
+    def __init__(self, edges):
+        from mbckit.errors import (
+            DisconnectedGraphError,
+            DuplicateEdgeError,
+            FormatError,
+            SelfLoopError,
+        )
+
+        id_of = {}
+        pairs = []
+        seen = set()
+        for a, b in edges:
+            a, b = str(a), str(b)
+            if a == b:
+                raise SelfLoopError(f"self-loop at node {a!r}")
+            for lab in (a, b):
+                if lab not in id_of:
+                    id_of[lab] = len(id_of)
+            u, v = id_of[a], id_of[b]
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise DuplicateEdgeError(f"duplicate edge {a!r} {b!r}")
+            seen.add(key)
+            pairs.append(key)
+        if not pairs:
+            raise FormatError("graph has no edges")
+        n = len(id_of)
+        adj = build_adj(n, pairs)
+        for nbrs in adj:
+            nbrs.sort()
+        reached = sum(d is not None for d in bfs_dist(adj, 0))
+        if reached != n:
+            raise DisconnectedGraphError(
+                f"graph is disconnected ({reached} of {n} nodes reachable)"
+            )
+        self.n = n
+        self.m = len(pairs)
+        self.labels = tuple(sorted(id_of, key=id_of.get))
+        self.id_of = id_of
+        self.adj = adj
+        self.edge_list = tuple(sorted(pairs))
+        self.indptr = [0]
+        for nbrs in adj:
+            self.indptr.append(self.indptr[-1] + len(nbrs))
+        self.indices = [w for nbrs in adj for w in nbrs]

@@ -1,5 +1,7 @@
 import gc
 import json
+import random
+import re
 import weakref
 
 import numpy as np
@@ -26,9 +28,9 @@ from mbckit import (
     parse_instance,
     to_instance_json,
 )
-from mbckit.generators import gen_random
+from mbckit.generators import gen_apx, gen_random, gen_random_tree, gen_tight
 
-from oracle_utils import dist_sigma_int
+from oracle_utils import LoopGraph, dist_sigma_int
 
 
 class TestGraphConstruction:
@@ -65,6 +67,36 @@ class TestGraphConstruction:
         assert c4.degree(0) == 2
         assert c4.has_edge(0, 1) and c4.has_edge(1, 0)
         assert not c4.has_edge(0, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: g.has_edge(-1, 2),
+            lambda g: g.has_edge(2, -1),
+            lambda g: g.has_edge(True, 2),
+            lambda g: g.has_edge(0, 4),
+            lambda g: g.has_edge(0, 1.0),
+            lambda g: g.degree(-1),
+            lambda g: g.degree(4),
+            lambda g: g.degree(False),
+            lambda g: g.neighbors(-1),
+            lambda g: g.neighbors(4),
+            lambda g: g.neighbors("a"),
+            lambda g: g.label(-1),
+            lambda g: g.label(True),
+            lambda g: g.label(4),
+        ],
+    )
+    def test_accessors_check_node_ids(self, p4, call):
+        # on a - b - c - d, -1 used to wrap to d and True to read as b
+        with pytest.raises(ContractViolationError):
+            call(p4)
+
+    def test_accessors_take_numpy_ids(self, p4):
+        assert p4.degree(np.int64(1)) == 2
+        assert p4.neighbors(np.int32(3)) == [2]
+        assert p4.has_edge(np.int64(2), np.int64(3)) and not p4.has_edge(0, np.int64(3))
+        assert p4.label(np.int64(3)) == "d"
 
     def test_ids_and_label_round_trip(self, p3):
         assert p3.ids(["c", "a"]) == [2, 0]
@@ -112,6 +144,41 @@ class TestParsing:
     def test_missing_budget(self):
         with pytest.raises(FormatError, match="budget"):
             parse_instance("a b\n")
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[[1], 2], [2, 3]],
+            [[None, True], [True, 3]],
+            [[{"a": 1}, 2]],
+            [["a", 1.5]],
+            [["a", "b"], ["b", None]],
+            # a bool or a float equal to an earlier int label
+            [[1, 2], [True, 3]],
+            [[1, 2], [1.0, 3]],
+        ],
+    )
+    def test_json_endpoints_must_be_strings_or_integers(self, edges):
+        bad = next(
+            rec for rec in edges if not all(type(x) in (str, int) for x in rec)
+        )
+        with pytest.raises(FormatError, match=re.escape(f"bad edge record {bad!r}")):
+            parse_graph(json.dumps({"edges": edges}))
+
+    @pytest.mark.parametrize("edges", [["ab", ["b", "c"]], [{"a": 1, "b": 2}], [["a", "b", "c"]]])
+    def test_json_records_must_be_pairs(self, edges):
+        with pytest.raises(FormatError, match="bad edge record"):
+            parse_graph(json.dumps({"edges": edges}))
+
+    def test_json_integer_endpoints_read_as_decimal_strings(self):
+        g = parse_graph(json.dumps({"edges": [[10, "x"], ["10", 2], [2, "y"]]}))
+        assert g.labels == ("10", "x", "2", "y")
+        assert g.m == 3 and g.has_edge(g.id_of["10"], g.id_of["2"])
+
+    @pytest.mark.parametrize("cost", [True, None, "3", [1]])
+    def test_json_costs_must_be_numbers(self, cost):
+        with pytest.raises(FormatError, match="'b' is not a number"):
+            parse_instance(json.dumps({"edges": [["a", "b"]], "costs": {"b": cost}, "budget": 1}))
 
     def test_bad_json_shapes(self):
         with pytest.raises(FormatError):
@@ -256,3 +323,147 @@ def test_cost_array_accepts_int_labels():
     g = Graph([(0, 1), (1, 2)])
     arr = cost_array(g, {1: 4})
     assert arr.tolist() == [1.0, 4.0, 1.0]
+
+
+class TestCostArray:
+    def test_values_and_defaults(self, p3):
+        arr = cost_array(p3, {"c": 2.5, "a": 0, "b": np.float32(1.5)})
+        assert arr.dtype == np.float64 and arr.tolist() == [0.0, 1.5, 2.5]
+        assert cost_array(p3, {}).tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "mapping,error",
+        [
+            ({"zz": 1.0}, UnknownLabelError),
+            ({"a": -1.0}, FormatError),
+            ({"a": float("nan")}, FormatError),
+            ({"a": float("inf")}, FormatError),
+            ({"a": 10**400}, FormatError),
+            ({"a": "3"}, FormatError),
+            ({"a": None}, FormatError),
+            # the first bad entry in mapping order decides
+            ({"b": 1.0, "zz": 1.0, "a": -1.0}, UnknownLabelError),
+            ({"b": 1.0, "a": -1.0, "zz": 1.0}, FormatError),
+            ({"a": "x", "zz": 1.0}, FormatError),
+        ],
+    )
+    def test_first_bad_entry_raises(self, p3, mapping, error):
+        bad = next(lab for lab, val in mapping.items() if lab == "zz" or val != 1.0)
+        with pytest.raises(error, match=re.escape(repr(bad))):
+            cost_array(p3, mapping)
+
+
+def _assert_same_graph(g, ref):
+    assert (g.n, g.m) == (ref.n, ref.m)
+    assert g.labels == ref.labels
+    assert g.id_of == ref.id_of and list(g.id_of) == list(ref.id_of)
+    assert g.adj == ref.adj
+    assert all(type(w) is int for nbrs in g.adj for w in nbrs)
+    assert g.edge_list == ref.edge_list
+    assert all(type(u) is int and type(v) is int for u, v in g.edge_list)
+    A = g.csr()
+    assert A.shape == (ref.n, ref.n) and A.has_sorted_indices
+    assert A.indptr.dtype == A.indices.dtype == np.int32
+    assert A.indptr.tolist() == ref.indptr
+    assert A.indices.tolist() == ref.indices
+    assert A.data.dtype == np.float64 and (A.data == 1.0).all()
+
+
+def _assert_same_error(edges):
+    with pytest.raises(Exception) as want:
+        LoopGraph(edges)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        Graph(edges)
+
+
+def _random_edges(seed):
+    """A shuffled connected graph with mixed orientations and int, str
+    and int-as-str labels."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    names = [rng.choice([i, str(i), f"v{i}"]) for i in range(n)]
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    edges = []
+    for u, v in pairs:
+        a, b = names[u], names[v]
+        if rng.random() < 0.5:  # the same node by its int label or its decimal string
+            a = str(a) if isinstance(a, int) else (int(a) if a.isdigit() else a)
+        edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    rng.shuffle(edges)
+    return edges
+
+
+def _generated_graphs():
+    base = gen_random(6, 0.4, seed=2)
+    return {
+        "gen_random": gen_random(60, 0.1, seed=5),
+        "gen_random_tree": gen_random_tree(50, seed=3),
+        "gen_tight(2)": gen_tight(2)[0],
+        "gen_apx": gen_apx(base, 2, l=2)[0],
+    }
+
+
+class TestArrayBuildMatchesLoop:
+    """The array build against the loop constructor it replaced."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_random_edge_lists(self, seed):
+        edges = _random_edges(seed)
+        ref = LoopGraph(edges)
+        _assert_same_graph(Graph(edges), ref)
+        _assert_same_graph(Graph(iter(edges)), ref)
+        _assert_same_graph(parse_graph(json.dumps({"edges": [list(e) for e in edges]})), ref)
+        text = "".join(f"{a} {b}\n" for a, b in edges)
+        _assert_same_graph(parse_graph(text), ref)
+
+    @pytest.mark.parametrize("name", sorted(_generated_graphs()))
+    def test_generated_graphs(self, name):
+        g = _generated_graphs()[name]
+        edges = [(g.labels[u], g.labels[v]) for u, v in g.edge_list]
+        random.Random(name).shuffle(edges)
+        _assert_same_graph(Graph(edges), LoopGraph(edges))
+
+    def test_str_subclass_labels_read_as_str(self):
+        # numpy strings equal, and hash as, the str of the same text
+        edges = [("a", "b"), (np.str_("b"), np.str_("c")), (np.str_("d"), "a")]
+        g = Graph(edges)
+        _assert_same_graph(g, LoopGraph(edges))
+        assert all(type(lab) is str for lab in g.labels)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_offending_edge_wins(self, seed):
+        # a self-loop and a repeated edge (either orientation) at random
+        # places: the earlier one in input order is reported
+        rng = random.Random(seed)
+        edges = _random_edges(seed + 1000)
+        a, b = rng.choice(edges)
+        repeat = (a, b) if rng.random() < 0.5 else (b, a)
+        loop = (rng.choice([a, b]),) * 2
+        for bad in ([repeat], [loop], [repeat, loop], [loop, repeat], [loop, loop]):
+            mixed = list(edges)
+            for item in bad:
+                mixed.insert(rng.randint(0, len(mixed)), item)
+            _assert_same_error(mixed)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("a", "b"), ("b", "b"), ("b", "a")],
+            [("a", "b"), ("b", "a"), ("b", "b")],
+            [("a", "a"), ("a", "a")],
+            [(1, "1")],
+            [("1", 2), (2, 1)],
+            [],
+            [("a", "b"), ("c", "d")],
+            [("a", "b"), ("c", "d"), ("b", "c"), ("e", "f"), ("f", "g")],
+            [("a", "b"), ("c", "c"), ("d", "e")],
+            [("a", "b"), (np.str_("b"), "a")],
+            [("a", "b"), ("a", "b", "c")],
+            [("a", "b"), 5],
+        ],
+    )
+    def test_errors_match(self, edges):
+        _assert_same_error(edges)
