@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapExceededError, ContractViolationError
 from .graph import CostedInstance, apsp, enumerate_shortest_paths
-from .greedy import _pick_max, _pick_ratio, _tie_tol
+from .greedy import _fits, _pick_max, _pick_ratio, _tie_tol
 
 __all__ = [
     "CoverageInstance",
@@ -147,7 +147,7 @@ def coverage_greedy(ci: CoverageInstance, k: int | None = None) -> CoverageSolut
     pool = list(range(n))
     while pool:
         cu = ci.costs[pool]
-        if spent + cu.min() > budget:
+        if not _fits(spent, float(cu.min()), budget):
             break
         gains = np.array([_marginal(ci, covered, v) for v in pool])
         if gains.max() <= tol and bool((cu > 0).all()):
@@ -156,7 +156,7 @@ def coverage_greedy(ci: CoverageInstance, k: int | None = None) -> CoverageSolut
         v = pool.pop(at)
         c = float(ci.costs[v])
         g = float(gains[at])
-        if spent + c <= budget and (g > tol or c == 0.0):
+        if _fits(spent, c, budget) and (g > tol or c == 0.0):
             covered[ci.sets[v]] = True
             spent += c
             order.append(v)
@@ -164,7 +164,7 @@ def coverage_greedy(ci: CoverageInstance, k: int | None = None) -> CoverageSolut
     nodes = tuple(sorted(order))
 
     # fallback: the best affordable single set, scan wins ties
-    afford = [v for v in range(n) if ci.costs[v] <= budget]
+    afford = [v for v in range(n) if _fits(0.0, float(ci.costs[v]), budget)]
     if afford:
         singles = np.array([float(ci.weights[ci.sets[v]].sum()) for v in afford])
         at = _pick_max(afford, singles, tol)

@@ -1,15 +1,23 @@
-"""Exhaustive optimum by subset search.
+"""Exact optimum by bounded subset search.
 
 Ground truth for the approximation and tree solvers.  The search is the
 restart greedy's depth-first subset walk (greedy._subsets) with no size
-limit: it visits every affordable subset of the sorted candidate list,
+limit: it walks the affordable subsets of the sorted candidate list,
 each oracle the copy of its parent's plus one addition, and it does
 not extend a subset that already covers every pair.  The walk's root
 is a candidate-space oracle (GbcOracle(pc, pool)), so each step costs
 O(c^2) for c candidates after one O(c n^2) build.  A node fits the
 budget within the audit's slack (greedy._fits), and values within
-greedy._tie_tol of the best tie.  Clarity over speed: there is no
-bound, and the candidate count is hard-capped.
+greedy._tie_tol of the best tie.
+
+The incumbent is the best subset value walked so far, starting from
+the empty set's.  The walk skips the child S + v, with its subtree,
+when the submodular knapsack bound (greedy._bound) over the candidates
+after v falls below the incumbent - 2 _tie_tol.  No skipped subset
+comes within _tie_tol of the optimum, so the tie rule picks the same
+set as an exhaustive search.  The candidate count stays hard-capped:
+the bound can be loose, with many zero-cost candidates say, and then
+the walk is close to exhaustive.
 """
 
 from __future__ import annotations
@@ -38,8 +46,17 @@ def solve_exact(inst: CostedInstance, candidates=None) -> Solution:
             len(cand),
         )
     root = GbcOracle(apsp(inst.graph), cand)
-    walk = _subsets(root, cand, inst.cost, inst.budget, len(cand))
-    value, nodes = _best_outcome([(o.base_value, s) for s, o in walk], inst.graph.n)
+    records = _subsets(
+        root,
+        cand,
+        inst.cost,
+        inst.budget,
+        len(cand),
+        lambda subset, oracle: (oracle.base_value, subset),
+        (root.base_value, ()),
+        restarts=False,
+    )
+    value, nodes = _best_outcome(records, inst.graph.n)
     return Solution(
         nodes=nodes,
         cost=inst.cost_of(nodes),

@@ -10,6 +10,9 @@ Three variants share one inner loop:
   at most three nodes, keeping the best outcome.  The initializations
   come from _subsets, the depth-first subset walk that solve_exact
   also runs, over a candidate-space oracle (GbcOracle(pc, pool)).
+  The walk skips a subtree when _bound, the submodular knapsack bound,
+  shows that no outcome in it comes within 2 _tie_tol of the best
+  outcome so far, so the same outcome still wins every tie.
 
 All three read the graph's path counts from apsp.  audit_solution is
 the one answer check, run by the tree solver and the CLI.  A node fits
@@ -24,6 +27,7 @@ would let last-bit noise pick different winners.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +65,18 @@ def audit_solution(inst: CostedInstance, sol: Solution) -> None:
         raise ConsistencyError(f"chosen set costs {spent}, over the budget {inst.budget}")
 
 
-def _fits(spent: float, c: float, budget: float) -> bool:
-    """Whether a node of cost c still fits after spent, within float slack.
+def _limit(budget: float) -> float:
+    """The largest spend that fits the budget, within float slack.
 
     Summing the same costs in another order can land a few ulps above the
     budget, so the slack is the audit's 1e-9 * max(1, budget).
     """
-    return spent + c <= budget + 1e-9 * max(1.0, budget)
+    return budget + 1e-9 * max(1.0, budget)
+
+
+def _fits(spent: float, c: float, budget: float) -> bool:
+    """Whether a node of cost c still fits after spent, within _limit."""
+    return spent + c <= _limit(budget)
 
 
 def _candidate_pool(g: Graph, candidates) -> list[int]:
@@ -183,7 +192,7 @@ def _best_single(inst: CostedInstance, oracle: GbcOracle) -> tuple[int, float] |
 
     The oracle must be empty, so that its gains are the GBC of each node.
     """
-    afford = [v for v in range(inst.graph.n) if inst.cost[v] <= inst.budget]
+    afford = [v for v in range(inst.graph.n) if _fits(0.0, float(inst.cost[v]), inst.budget)]
     if not afford:
         return None
     vals = oracle.gains(afford)
@@ -219,28 +228,91 @@ def greedy_ratio(inst: CostedInstance) -> Solution:
     )
 
 
-def _subsets(oracle, cand, costs, budget, size, seed=(), spent=0.0):
-    """Every affordable subset of the sorted pool cand with at most size
-    nodes, each added to seed, walked depth-first in lexicographic order.
+def _rank(item) -> float:
+    """Sort key of a knapsack item (gain, cost, position): zero cost
+    first, then falling gain/cost."""
+    gain, cost, _ = item
+    return -gain / cost if cost > 0.0 else -math.inf
 
-    Yields (subset, oracle) after all of that subset's extensions, so the
-    caller may mutate the yielded oracle: each child is its parent's
-    copy() plus one add(), and all of them were copied already.  A node
-    fits while the running float spent + cost passes _fits.  A subset
-    that covers every pair within _tie_tol is not extended, as no
-    extension can beat it.
+
+def _bound(value: float, items, room: float, lo: int, hi: int) -> float:
+    """value plus the fractional knapsack of items in room, leaving out
+    the items at pool positions lo..hi.
+
+    items are (gain, cost, position) triples with positive gains, sorted
+    by _rank, so zero-cost items are taken whole and the first item that
+    no longer fits is taken in part.
     """
-    n = oracle.pc.n
-    if len(seed) < size and oracle.base_value < n * (n - 1) - _tie_tol(n):
-        for j, v in enumerate(cand):
-            c = float(costs[v])
-            if _fits(spent, c, budget):
-                child = oracle.copy()
-                child.add(v)
-                yield from _subsets(
-                    child, cand[j + 1 :], costs, budget, size, seed + (v,), spent + c
-                )
-    yield seed, oracle
+    for gain, cost, at in items:
+        if lo <= at <= hi:
+            continue
+        if cost > room:
+            return value + gain * (room / cost)
+        value += gain
+        room -= cost
+    return value
+
+
+def _subsets(root, cand, costs, budget, size, outcome, first, *, restarts):
+    """Outcomes of the affordable subsets of the sorted pool cand with at
+    most size nodes, walked depth-first in lexicographic order, less the
+    subtrees that the bound rules out.
+
+    Each child is its parent's copy() plus one add().  outcome(subset,
+    oracle) returns the record (value, subset, ...) of a nonempty subset.
+    It runs once all of that subset's children were copied from its
+    oracle, so it may mutate the oracle.  first is the empty subset's
+    record, which the caller computes before the walk, as it starts the
+    incumbent: the largest value among the records so far.  A node fits
+    while the running float spent + cost passes _fits.  A subset that
+    covers every pair within _tie_tol is not extended, as no extension
+    can beat it.
+
+    The bound.  GBC is monotone and submodular (the coverage reduction),
+    so every feasible superset of S + v is worth at most value(S) +
+    gain_S(v) plus the fractional knapsack (_bound) of the positive gains
+    at S of the nodes it may add, in the room _limit leaves after S + v.
+    With restarts, an outcome is a restart that may add every
+    non-member of the pool; otherwise a subtree adds only the candidates
+    after v.  A child whose bound falls below the incumbent - 2 _tie_tol
+    is skipped before it is copied, with its subtree.  Every outcome it
+    held is then worth less than the final best by more than _tie_tol,
+    even after float noise in the bound, so the outcomes within
+    _tie_tol of the best are those of the unbounded walk, and
+    _best_outcome picks the same one.
+    """
+    n = root.pc.n
+    tol = _tie_tol(n)
+    full = n * (n - 1) - tol
+    limit = _limit(budget)
+    cc = [float(costs[v]) for v in cand]
+    records = [first]
+    best = first[0]
+
+    def walk(oracle, lo, seed, spent):
+        nonlocal best
+        value = oracle.base_value
+        if len(seed) == size or value >= full:
+            return
+        gains = oracle.gains(cand).tolist()
+        items = sorted(((g, cc[i], i) for i, g in enumerate(gains) if g > 0.0), key=_rank)
+        for j in range(lo, len(cand)):
+            c = cc[j]
+            if not _fits(spent, c, budget):
+                continue
+            room = max(0.0, limit - spent - c)
+            if _bound(value + gains[j], items, room, j if restarts else 0, j) < best - 2 * tol:
+                continue
+            child = oracle.copy()
+            child.add(cand[j])
+            sub = seed + (cand[j],)
+            walk(child, j + 1, sub, spent + c)
+            record = outcome(sub, child)
+            records.append(record)
+            best = max(best, record[0])
+
+    walk(root, 0, (), 0.0)
+    return records
 
 
 def _best_outcome(outcomes, n: int):
@@ -256,17 +328,23 @@ def greedy_modified(inst: CostedInstance, candidates=None) -> Solution:
 
     Seeds come from one depth-first walk (_subsets) over a candidate-space
     oracle of apsp's counts, so each seed prefix is added once, and each
-    restart augments its seed's oracle in place.  The best value wins;
+    restart augments its seed's oracle in place.  The empty seed restarts
+    first, on a copy of the root, and its value is the walk's first
+    incumbent; the walk skips the seeds whose restarts the bound shows
+    cannot come within 2 _tie_tol of the incumbent.  The best value wins;
     outcomes within _tie_tol of it go to the smallest seed, then the
     lexicographically first.  `candidates` restricts both the seeds and
     the augmentation pool; the default is every node.
     """
     cand = _candidate_pool(inst.graph, candidates)
     root = GbcOracle(apsp(inst.graph), cand)
-    outcomes = []
-    for seed, oracle in _subsets(root, cand, inst.cost, inst.budget, 3):
+
+    def restart(seed, oracle):
         added = _ratio_augment(oracle, inst, [u for u in cand if u not in seed])
-        outcomes.append((float(oracle.base_value), seed, seed + tuple(added)))
+        return float(oracle.base_value), seed, seed + tuple(added)
+
+    first = restart((), root.copy())
+    outcomes = _subsets(root, cand, inst.cost, inst.budget, 3, restart, first, restarts=True)
     best_value, best_seed, best_order = _best_outcome(outcomes, inst.graph.n)
     nodes = tuple(sorted(best_order))
     return Solution(

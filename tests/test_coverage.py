@@ -8,6 +8,7 @@ import pytest
 from mbckit import (
     CapExceededError,
     CostedInstance,
+    Graph,
     apsp,
     coverage_greedy,
     coverage_weight,
@@ -88,6 +89,27 @@ class TestGreedyEquivalence:
         assert cov.order == node.order
         assert cov.weight == pytest.approx(node.gbc, abs=1e-9 * g.n * g.n)
         assert cov.cost == node.cost
+
+    PATH5 = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
+
+    @pytest.mark.parametrize(
+        "edges, costs, budget, nodes, value",
+        [
+            # the scan: the centre costs 1 + 5e-10, inside the slack
+            (PATH5, [1, 1, 1 + 5e-10, 1, 1], 1, (2,), 16.0),
+            # a second node fits after it, 2 + 5e-10 against budget 2
+            (PATH5, [1, 1, 1 + 5e-10, 1, 1], 2, (0, 2), 18.0),
+            # the single-node fallback: the hub costs 4 + 4e-10
+            ([("h", x) for x in "abcde"], [4 + 4e-10, 1, 1, 1, 1, 1], 4, (0,), 30.0),
+        ],
+    )
+    def test_budget_slack_matches(self, edges, costs, budget, nodes, value):
+        # a node fits within the audit's slack on both sides
+        inst = CostedInstance(Graph(edges), np.array(costs, dtype=float), float(budget))
+        cov = coverage_greedy(reduce_to_coverage(inst))
+        node = greedy_ratio(inst)
+        assert cov.nodes == node.nodes == nodes
+        assert cov.weight == node.gbc == value
 
 
 class TestDump:

@@ -21,6 +21,7 @@ from mbckit.greedy import _candidate_pool, _fits, _ratio_augment, _tie_tol
 
 from conftest import make_instance, walk_case
 from oracle_utils import opt_brute
+from walk_reference import greedy_modified_unbounded
 
 ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 ONE_MINUS_INV_SQRT_E = 1.0 - 1.0 / math.sqrt(math.e)
@@ -201,17 +202,27 @@ class TestGreedyModified:
         assert [g.labels[v] for v in sol.order] == ["a1", "a2", "a3"]
 
     def test_walk_adds_each_seed_prefix_once(self, monkeypatch):
+        # the unbounded reference walk's count, then the bounded walk's
         g, meta = gen_tight(2)
         inst = CostedInstance.unit(g, 2.0)
         adds = count_adds(monkeypatch)
-        greedy_modified(inst, candidates=g.ids(meta.whitelist))
+        greedy_modified_unbounded(inst, candidates=g.ids(meta.whitelist))
         assert len(adds) == 37  # per-seed replay made 58
+        adds.clear()
+        greedy_modified(inst, candidates=g.ids(meta.whitelist))
+        assert len(adds) == 7  # seeds walked: {0}, {0, 4} and {4}
 
     def test_full_coverage_ends_the_walk(self, star4, monkeypatch):
         # the center alone covers every pair, so no seed extends it
         adds = count_adds(monkeypatch)
-        sol = greedy_modified(make_instance(star4, budget=3))
+        sol = greedy_modified_unbounded(make_instance(star4, budget=3))
         assert len(adds) == 15  # per-seed replay made 35
+        assert (sol.nodes, sol.gbc, sol.init_seed) == ((0,), 12.0, ())
+        adds.clear()
+        sol = greedy_modified(make_instance(star4, budget=3))
+        # every knapsack holds the center's gain, so the bound skips
+        # nothing; the empty seed's restart moved to the front
+        assert len(adds) == 15
         assert (sol.nodes, sol.gbc, sol.init_seed) == ((0,), 12.0, ())
 
     def test_reports_seed_and_order(self, p4):
