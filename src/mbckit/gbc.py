@@ -21,12 +21,12 @@ sweep stays on the sparse product.
 
 The incremental oracle has two representations.  The all-node one,
 behind greedy_unit and greedy_ratio, keeps the n x n member-avoiding
-counts and prices candidates in one of two ways.  A few candidates
-each get the product of member-avoiding x-y paths through v, O(n^2)
-per candidate.  A large pool gets every node's gain at once from the
-reverse level sweep (Brandes' dependency accumulation over the
-member-avoiding counts), O(levels * m * n) for all n nodes.  That
-all-node vector is cached until the next addition.  The
+counts and has one pricing rule.  A pool of any size gets every node's
+gain at once from the reverse level sweep (Brandes' dependency
+accumulation over the member-avoiding counts), O(levels * m * n), and
+that all-node vector is cached until the next addition.  A single
+node with no cache gets the product of member-avoiding x-y paths
+through it, O(n^2): the product that adding it subtracts.  The
 candidate-space one, behind solve_exact and greedy_modified, keeps
 c x c matrices over a pool of c nodes: the avoiding counts and the
 pairwise path betweenness of Puzis, Elovici and Dolev (Phys. Rev. E
@@ -52,13 +52,6 @@ __all__ = [
 
 # Relative slack for clamping float dust in the avoiding-path bookkeeping.
 _CLAMP_REL = 1e-6
-
-# One reverse-sweep level costs about as much as this many through-v
-# candidates.  Measured on one core: 1.8-2.4 candidates per level, e.g.
-# 22 against 9.3 ns*n^2 on gen_tight(3) and 8.8 against 4.8 ns*n^2 on a
-# random graph with n = 120 and mean degree 14.  gains() sweeps when
-# its pool has more fresh candidates than this times the level count.
-_SWEEP_LEVEL_COST = 2
 
 
 def _member_mask(pc: PathCounts, group) -> np.ndarray:
@@ -222,25 +215,25 @@ class GbcOracle:
 
     GbcOracle(pc) keeps sigma_tilde over all n nodes and prices any
     node.  greedy_unit and greedy_ratio, whose pool is the whole graph,
-    use it.  Gains come from one of two kernels:
+    use it.  It has one pricing rule:
 
-    * The through-v slab, _through(vs): the avoiding x-y paths through
-      v, sigma_tilde[x, v] * sigma_tilde[v, y] wherever v lies on a
-      shortest x-y path.  O(n^2) time per candidate, with each slab
-      held under 16M entries to bound the temporaries.  add()
-      subtracts the same product from sigma_tilde, O(n^2).
-    * The reverse level sweep, _sweep_gains(): D[v, x] is
-      [v not a member] / sigma(x, v) plus the sum of D[w, x] over the
-      successors w of v in the shortest-path DAG rooted at x, and zero
-      for a member v.  Then gain(v) = sum_x sigma_tilde[x, v] * D[v, x]
-      - 1, for every node at once in O(levels * m * n) time, where
-      levels = diameter + 1.
-
-    gains() sweeps when its pool holds more than
-    _SWEEP_LEVEL_COST * levels non-members, and uses the slab
-    otherwise.  Only the sweep fills the cache: it leaves its all-node
-    vector there, later gains() and gain() calls read it, copy()
-    shares it, and add() drops it.  gain(v) is gains([v]).
+    * gains() always runs the reverse level sweep, _sweep_gains():
+      D[v, x] is [v not a member] / sigma(x, v) plus the sum of D[w, x]
+      over the successors w of v in the shortest-path DAG rooted at x,
+      and zero for a member v.  Then gain(v) = sum_x sigma_tilde[x, v]
+      * D[v, x] - 1, for every node at once in O(levels * m * n) time,
+      where levels = diameter + 1.  The all-node vector is cached:
+      later gains() and gain() calls read it, copy() shares it, and
+      add() drops it.
+    * gain(v) with no cache takes the through-v product, _through(v):
+      the avoiding x-y paths through v, sigma_tilde[x, v] *
+      sigma_tilde[v, y] wherever v lies on a shortest x-y path, O(n^2).
+      add(v) subtracts the same product from sigma_tilde and returns
+      the same gain.  A single node keeps the product because the
+      sweep prices all n nodes to read one: pricing each single node by
+      a sweep made `mbckit verify oracle`, which prices one node before
+      every addition, 3 to 5 times slower on a 200-node path and a
+      20x20 grid.
 
     GbcOracle(pc, pool) is the candidate-space oracle of Puzis, Elovici
     and Dolev (Phys. Rev. E 76, 2007).  It prices and adds only pool
@@ -256,19 +249,16 @@ class GbcOracle:
     gains() may fill the cache, but it stores a finished read-only
     vector with one attribute assignment, so concurrent gain() and
     gains() calls on one oracle are safe: at worst two threads compute
-    the same vector and the later store wins.  An add() needs exclusive
-    access.
+    the same vector and the later store wins.  An uncached gain()
+    stores nothing.  An add() needs exclusive access.
     """
 
-    __slots__ = (
-        "pc", "_members", "sigma_tilde", "base_value", "_levels", "_gain_all", "_pool", "_pb"
-    )
+    __slots__ = ("pc", "_members", "sigma_tilde", "base_value", "_gain_all", "_pool", "_pb")
 
     def __init__(self, pc: PathCounts, pool=None):
         self.pc = pc
         self._members: set[int] = set()
         self.base_value = 0.0
-        self._levels = int(pc.dist.max()) + 1
         self._gain_all: np.ndarray | None = None
         if pool is None:
             self._pool = self._pb = None
@@ -284,7 +274,6 @@ class GbcOracle:
         dup._members = set(self._members)
         dup.sigma_tilde = self.sigma_tilde.copy()
         dup.base_value = self.base_value
-        dup._levels = self._levels
         dup._gain_all = self._gain_all
         dup._pool = self._pool
         dup._pb = None if self._pb is None else self._pb.copy()
@@ -298,23 +287,15 @@ class GbcOracle:
     def members(self) -> tuple[int, ...]:
         return tuple(sorted(self._members))
 
-    def _through(self, vs) -> np.ndarray:
-        """(len(vs), n, n) slab: member-avoiding shortest x-y paths through each v."""
+    def _through(self, v: int) -> tuple[np.ndarray, float]:
+        """The member-avoiding shortest x-y paths through the non-member v,
+        n x n, and v's gain."""
         d = self.pc.dist
         T = self.sigma_tilde
-        on_path = (d[:, vs].T[:, :, None] + d[vs][:, None, :]) == d
-        return np.where(on_path, T[:, vs].T[:, :, None] * T[vs][:, None, :], 0.0)
-
-    def _slab_gains(self, vs: np.ndarray) -> np.ndarray:
-        """Gains of the non-members vs, a bounded slab of them at a time."""
-        n = self.pc.n
-        out = np.empty(len(vs), dtype=np.float64)
-        chunk = max(1, int(16_000_000 // max(1, n * n)))
-        for lo in range(0, len(vs), chunk):
-            newly = self._through(vs[lo : lo + chunk]) / self.pc.sigma
-            # (v, v) is no pair; its term is exactly 1 for a non-member v
-            out[lo : lo + chunk] = newly.sum(axis=(1, 2)) - 1.0
-        return out
+        on_path = (d[:, v, None] + d[v]) == d
+        through = np.where(on_path, T[:, v, None] * T[v], 0.0)
+        # (v, v) is no pair; its term is exactly 1 for a non-member v
+        return through, float((through / self.pc.sigma).sum()) - 1.0
 
     def _sweep_gains(self) -> np.ndarray:
         """Every node's gain from one reverse level sweep; members score 0."""
@@ -328,7 +309,10 @@ class GbcOracle:
 
     def gain(self, v: int) -> float:
         """GBC(members + v) - GBC(members); zero for an existing member."""
-        return float(self.gains([v])[0])
+        if self._pool is not None or self._gain_all is not None:
+            return float(self.gains([v])[0])
+        _check_node(self.pc.graph, v)
+        return 0.0 if v in self._members else self._through(v)[1]
 
     def gains(self, candidates) -> np.ndarray:
         """gain() of every candidate, in order; members score 0."""
@@ -346,9 +330,6 @@ class GbcOracle:
         ids = np.asarray(cands, dtype=np.int64)
         vec = self._gain_all
         if vec is None:
-            if len(fresh) <= _SWEEP_LEVEL_COST * self._levels:
-                out[fresh] = self._slab_gains(ids[fresh])
-                return out
             vec = self._sweep_gains()
             vec.setflags(write=False)
             self._gain_all = vec
@@ -362,8 +343,7 @@ class GbcOracle:
         if v in self._members:
             raise ContractViolationError(f"node {v} is already a member")
         if at is None:
-            through = self._through([v])[0]
-            gain = float((through / self.pc.sigma).sum()) - 1.0
+            through, gain = self._through(v)
             self._gain_all = None
             self.sigma_tilde -= through
             _clamp(self.sigma_tilde, self.pc.sigma)

@@ -18,7 +18,7 @@ from mbckit import (
     greedy_unit,
     reduce_to_coverage,
 )
-from mbckit.generators import gen_random
+from mbckit.generators import gen_random, gen_random_costs, gen_random_tree
 
 from conftest import make_instance
 
@@ -90,6 +90,17 @@ class TestGreedyEquivalence:
         assert cov.weight == pytest.approx(node.gbc, abs=1e-9 * g.n * g.n)
         assert cov.cost == node.cost
 
+    @pytest.mark.parametrize("name", ["path40", "grid2x20", "tree48"])
+    def test_high_diameter_sequences_match(self, name):
+        # high-diameter graphs too large for criterion 3, which enumerates
+        # every group, but where each scan step prices the whole pool
+        g = _high_diameter_graph(name)
+        unit = make_instance(g, budget=5)
+        assert coverage_greedy(reduce_to_coverage(unit), k=5).order == greedy_unit(unit, 5).order
+        costs = gen_random_costs(g, (0, 5), seed=1)
+        inst = CostedInstance(g, np.array([costs[x] for x in g.labels]), 8.0)
+        assert coverage_greedy(reduce_to_coverage(inst)).order == greedy_ratio(inst).order
+
     PATH5 = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
 
     @pytest.mark.parametrize(
@@ -110,6 +121,15 @@ class TestGreedyEquivalence:
         node = greedy_ratio(inst)
         assert cov.nodes == node.nodes == nodes
         assert cov.weight == node.gbc == value
+
+
+def _high_diameter_graph(name):
+    if name == "path40":
+        return Graph([(str(i), str(i + 1)) for i in range(39)])
+    if name == "grid2x20":
+        rungs = [((0, c), (1, c)) for c in range(20)]
+        return Graph(rungs + [((r, c), (r, c + 1)) for r in range(2) for c in range(19)])
+    return gen_random_tree(48, 3)
 
 
 class TestDump:

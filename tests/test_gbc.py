@@ -134,7 +134,7 @@ class TestOracle:
             oracle.gains([True])
 
     @pytest.mark.parametrize("case", range(6))
-    def test_sweep_and_slab_agree_with_direct(self, case):
+    def test_sweep_agrees_with_direct(self, case):
         g = _kernel_graphs()[case]
         pc = apsp(g)
         oracle = GbcOracle(pc)
@@ -147,23 +147,37 @@ class TestOracle:
         want = [0.0 if v in chosen else gbc_direct(pc, chosen + [v]) - base for v in pool]
         scale = g.n * g.n
         assert np.abs(sweep - want).max() <= 1e-9 * scale
-        # pools of one to three candidates always take the slab
+        # the first call of any size sweeps and fills the cache; every later
+        # pool, of one to three candidates or of all of them, reads it
+        assert oracle._gain_all is None
         lo = 0
         while lo < g.n:
             part = pool[lo : lo + 1 + lo % 3]
-            slab = oracle.gains(part)
-            assert np.abs(slab - sweep[part]).max() <= 1e-12 * scale
-            assert np.abs(slab - np.take(want, part)).max() <= 1e-9 * scale
+            got = oracle.gains(part)
+            assert oracle._gain_all is not None
+            assert got.tolist() == sweep[part].tolist()
+            assert np.abs(got - np.take(want, part)).max() <= 1e-9 * scale
             lo += len(part)
-        assert oracle._gain_all is None  # only the sweep fills the cache
-        # a full pool on a random graph takes the sweep and caches it; on
-        # the path and the grid it fits the slab, which caches nothing
-        full = oracle.gains(pool)
-        assert (oracle._gain_all is not None) == (case < 4)
-        if case < 4:
-            assert full.tolist() == sweep.tolist()
-        else:
-            assert np.abs(full - sweep).max() <= 1e-12 * scale
+        vec = oracle._gain_all
+        assert oracle.gains(pool).tolist() == sweep.tolist()
+        assert oracle._gain_all is vec
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_uncached_gain_is_the_add_product(self, case):
+        g = _kernel_graphs()[case]
+        oracle = GbcOracle(apsp(g))
+        chosen = random.Random(case + 20).sample(range(g.n), 3)
+        for v in chosen:
+            oracle.add(v)
+        sweep = oracle._sweep_gains()
+        for v in range(g.n):
+            got = oracle.gain(v)
+            assert oracle._gain_all is None  # a single gain stores nothing
+            if v in chosen:
+                assert got == 0.0
+                continue
+            assert got == oracle.copy().add(v)
+            assert abs(got - sweep[v]) <= 1e-12 * g.n * g.n
 
     def test_add_drops_cached_gains(self):
         g = gen_random(30, 0.2, seed=71)
