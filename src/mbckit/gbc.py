@@ -15,9 +15,12 @@ sigma; gbc_modified reads only its pairs.  The sweep runs on the
 kernel that `apsp` runs on: the sparse product per level, or, on
 high-diameter graphs, the level-indexed gather that fills each entry
 once (graph._GATHER_COST holds the rule and its measurement).  Both
-give the same integer counts.  The reverse sweep of the all-node
-oracle and the pool's path betweenness stay n x n, and the reverse
-sweep stays on the sparse product.
+give the same integer counts, and both read the distances that `apsp`
+found: only its unblocked sparse sweep finds levels as it counts, since
+a blocked node can delay an entry's first flow past its distance, and
+the gather's come from scipy's Dijkstra.  The reverse sweep of the
+all-node oracle and the pool's path betweenness stay n x n, and the
+reverse sweep stays on the sparse product.
 
 The incremental oracle has two representations.  The all-node one,
 behind greedy_unit and greedy_ratio, keeps the n x n member-avoiding
@@ -36,6 +39,7 @@ Nothing here ever enumerates paths.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -54,11 +58,24 @@ __all__ = [
 _CLAMP_REL = 1e-6
 
 
+def _node_ids(g: Graph, nodes: list) -> np.ndarray:
+    """The ids of nodes as int64, every id checked as _check_node checks
+    one, in array passes.  Only a failing list is scanned id by id, to
+    name the first bad id."""
+    types = set(map(type, nodes))
+    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types):
+        with contextlib.suppress(OverflowError):  # an id beyond int64: refused below
+            ids = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+            if not len(ids) or (0 <= ids.min() and ids.max() < g.n):
+                return ids
+    for v in nodes:
+        _check_node(g, v)
+    return np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+
+
 def _member_mask(pc: PathCounts, group) -> np.ndarray:
     mask = np.zeros(pc.n, dtype=bool)
-    for v in group:
-        _check_node(pc.graph, v)
-        mask[v] = True
+    mask[_node_ids(pc.graph, list(group))] = True
     return mask
 
 
@@ -91,27 +108,19 @@ def gbc_direct(pc: PathCounts, group) -> float:
 
 
 def _pair_ids(g: Graph, pairs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target id arrays of ordered pairs, every id checked as
-    _check_node checks one, in array passes.  Only a failing list is
-    scanned id by id, to name the bad id."""
+    """Source and target id arrays of ordered pairs, every id checked by
+    _node_ids."""
     try:
         P = np.asarray(pairs)
     except ValueError:  # ragged records
         P = None
-    if (
-        P is not None
-        and P.ndim == 2
-        and P.shape[1] == 2
-        and P.dtype.kind in "iu"
-        and 0 <= P.min()
-        and P.max() < g.n
-        and bool not in set(map(type, itertools.chain.from_iterable(pairs)))
-    ):
-        return P[:, 0].astype(np.int64), P[:, 1].astype(np.int64)
-    for s, t in pairs:
-        _check_node(g, s)
-        _check_node(g, t)
-    raise ContractViolationError("essential pairs must be (source, target) id pairs")
+    if P is None or P.ndim != 2 or P.shape[1] != 2:
+        for s, t in pairs:
+            _check_node(g, s)
+            _check_node(g, t)
+        raise ContractViolationError("essential pairs must be (source, target) id pairs")
+    ids = _node_ids(g, list(itertools.chain.from_iterable(pairs)))
+    return ids[0::2], ids[1::2]
 
 
 def gbc_modified(pc: PathCounts, essential_pairs, group) -> float:
@@ -317,8 +326,7 @@ class GbcOracle:
     def gains(self, candidates) -> np.ndarray:
         """gain() of every candidate, in order; members score 0."""
         cands = list(candidates)
-        for v in cands:
-            _check_node(self.pc.graph, v)
+        ids = _node_ids(self.pc.graph, cands)
         out = np.zeros(len(cands), dtype=np.float64)
         fresh = np.array(
             [i for i, v in enumerate(cands) if v not in self._members], dtype=np.int64
@@ -327,7 +335,6 @@ class GbcOracle:
             at = self._pool.positions(cands)
             out[fresh] = self._pb[at[fresh], at[fresh]] - 1.0
             return out
-        ids = np.asarray(cands, dtype=np.int64)
         vec = self._gain_all
         if vec is None:
             vec = self._sweep_gains()

@@ -15,7 +15,11 @@ and the sorted edge tuple edge_list are derived from it on first use.
 
 All-pairs hop distances and shortest-path counts are computed once per
 graph by `apsp`, kept on the graph, and shared read-only by every
-solver.
+solver.  Like Brandes' breadth-first pass, one forward sweep finds both
+where the sparse product runs: an entry's level is the first product
+that reaches it.  Only the level-indexed gather, which must order every
+entry by distance before it runs, takes its distances from scipy's
+Dijkstra first.
 
 Counting runs on the twin quotient, the structural-equivalence
 reduction of Puzis, Zilberman, Elovici, Dolev and Brandes ("Heuristics
@@ -36,9 +40,13 @@ O(q^2 * max degree), through a level index built once per quotient:
 the q x q entries ordered by distance, and a padded neighbour table.
 That suits high-diameter graphs such as grids and paths.
 _Quotient.sweep picks one by the cost rule of _GATHER_COST, whose
-comment holds its measurement.  Both sum integers below 2**53, so
-they agree bit for bit.  apsp refuses, with CapExceededError, counts
-that overflow, and n x n arrays over _BYTES_CAP bytes.
+comment holds its measurement.  The rule is applied before any
+distance is known, so it reads the eccentricity e0 of class 0, from one
+breadth-first order, in place of the largest class distance top.  As
+e0 <= top <= 2 * e0, that can only move a graph from the gather to the
+sparse sweep.  Both kernels sum integers below 2**53, so they agree bit
+for bit.  apsp refuses, with CapExceededError, counts that overflow,
+and n x n arrays over _BYTES_CAP bytes.
 """
 
 from __future__ import annotations
@@ -320,19 +328,23 @@ _MIN_TWINS = 32
 
 # _Quotient.sweep runs the level-indexed kernel, _level_gather, when
 # _GATHER_COST * q * max degree < levels * (nnz + q), and the sparse
-# product sweep, _level_sweep, otherwise; levels is the largest class
-# distance and nnz the class adjacency's.  Divided by q, the sides are
-# the neighbour slots one gather pass reads and the multiply-adds and
-# masked passes of the sparse products.  Gather time, plus half its
-# index build (an apsp and a gbc_direct share it), over sparse sweep
-# time, best of 5 on a 2-core x86-64 machine, at x = levels * (nnz +
-# q) / (q * max degree): gen_random(120, 14/119) 1.96 at x = 1.9 and
-# gen_random(300, 8/299) 0.91 at 2.6; random trees of 32 nodes 1.04 to
-# 2.39 at 2.9 to 4.6, of 256 nodes 0.56 and 0.58 at 4.9 and 6.3; grids
-# 5x5 1.19 at 8.4, 8x8 0.71 at 15.8 and 20x20 0.15 at 46; paths of 60
-# and 300 nodes 0.48 at 88 and 0.05 at 448.  Per-level overhead makes
-# small graphs break even later than large ones (x near 3), so the
-# constant keeps every 32-node tree (x up to 7.3) on the sparse sweep.
+# product sweep, _level_sweep, otherwise; nnz is the class adjacency's
+# and levels the eccentricity e0 of class 0.  The largest class
+# distance top is the truer input, but only the sparse sweep finds it,
+# as it runs.  As e0 <= top <= 2 * e0, reading e0 can only keep a graph
+# on the sparse sweep, which finds its own distances, while the gather
+# needs Dijkstra's first.  Divided by q, the sides are the neighbour
+# slots one gather pass reads and the multiply-adds and masked passes
+# of the sparse products.  Gather time, plus half its index build (an
+# apsp and a gbc_direct share it), over sparse sweep time, best of 5
+# on a 2-core x86-64 machine, at x = top * (nnz + q) / (q * max
+# degree): gen_random(120, 14/119) 1.96 at x = 1.9 and gen_random(300,
+# 8/299) 0.91 at 2.6; random trees of 32 nodes 1.04 to 2.39 at 2.9 to
+# 4.6, of 256 nodes 0.56 and 0.58 at 4.9 and 6.3; grids 5x5 1.19 at
+# 8.4, 8x8 0.71 at 15.8 and 20x20 0.15 at 46; paths of 60 and 300
+# nodes 0.48 at 88 and 0.05 at 448.  Per-level overhead makes small
+# graphs break even later than large ones (x near 3), so the constant
+# keeps every 32-node tree (x up to 7.3) on the sparse sweep.
 _GATHER_COST = 10
 
 
@@ -348,17 +360,20 @@ class _Quotient:
     hop distances, which are the distances between members of distinct
     classes.  shared lists (false-twin class, neighbour class) pairs, to
     count the paths between two false twins without a sparse product.
-    top is the largest class distance and degree the largest class
-    degree, the inputs of gathers() with q and adj.nnz; _index is the
-    level index of level_index(), None until the gather first runs.
-    A graph with too few twins (see _MIN_TWINS) is its own quotient
-    (identity): cls is the identity, adj is g.csr() and dist is the
-    graph's own distance array.
+    e0 is the eccentricity of class 0 and degree the largest class
+    degree, the inputs of gathers() with q and adj.nnz.  Where the
+    gather runs, dist comes from scipy's Dijkstra when the quotient is
+    built; elsewhere it holds -1 off its diagonal until the first sweep
+    finds the levels, and top, the largest class distance, is None till
+    then.  _index is the level index of level_index(), None until the
+    gather first runs.  A graph with too few twins (see _MIN_TWINS) is
+    its own quotient (identity): cls is the identity, adj is g.csr()
+    and dist is the graph's own distance array.
     """
 
     __slots__ = (
         "q", "cls", "size", "within", "adj", "dist", "shared", "identity", "top", "degree",
-        "_index",
+        "e0", "_index",
     )
 
     def __init__(self, g: Graph):
@@ -386,17 +401,33 @@ class _Quotient:
             self.adj = sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(q, q))
             false = within[rows] == 2
             self.shared = (rows[false], cols[false])
-        dist = csgraph.shortest_path(self.adj, method="D", unweighted=True, directed=False)
-        self.dist = dist.astype(np.int64)
-        self.top = int(self.dist.max())
         self.degree = int(np.diff(self.adj.indptr).max())
+        # e0 is the depth of the last class in class 0's breadth-first order
+        order, pred = csgraph.breadth_first_order(self.adj, 0, directed=True)
+        v, self.e0 = int(order[-1]), 0
+        while v:
+            v, self.e0 = int(pred[v]), self.e0 + 1
         self._index = None
-        for a in (cls, self.size, within, self.dist):
+        if self.gathers():
+            dist = csgraph.shortest_path(self.adj, method="D", unweighted=True, directed=True)
+            self.dist = dist.astype(np.int64)
+            self.top = int(self.dist.max())
+            self.dist.setflags(write=False)
+        else:  # the first sweep finds the levels
+            self.dist = np.full((q, q), -1, dtype=np.int64)
+            np.fill_diagonal(self.dist, 0)
+            self.top = None
+        for a in (cls, self.size, within):
             a.setflags(write=False)
 
     def gathers(self) -> bool:
-        """Whether sweep() runs the level-indexed kernel (see _GATHER_COST)."""
-        return _GATHER_COST * self.q * self.degree < self.top * (self.adj.nnz + self.q)
+        """Whether sweep() runs the level-indexed kernel (see _GATHER_COST).
+
+        It reads e0, class 0's eccentricity, for the largest class
+        distance top, which the sparse sweep finds only as it runs;
+        e0 <= top <= 2 * e0.
+        """
+        return _GATHER_COST * self.q * self.degree < self.e0 * (self.adj.nnz + self.q)
 
     def level_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, bounds, nbrs) for _level_gather, built on first use.
@@ -429,8 +460,11 @@ class _Quotient:
         twins, and the unblocked shared neighbours for false twins.
         Entries of blocked nodes in a partly blocked class are the
         caller's to zero.  The kernel is _level_gather where gathers()
-        says so, else _level_sweep.
+        says so, else _level_sweep, whose first run here, unblocked,
+        finds dist.
         """
+        if self.top is None and blocked is not None:
+            self.sweep()  # only an unblocked sweep finds the levels
         if self.identity:
             weights, closed = None, blocked
         else:
@@ -446,6 +480,9 @@ class _Quotient:
             X = _level_gather(*self.level_index(), seeds, closed, weights)
         else:
             X = _level_sweep(self.adj, self.dist, np.diag(seeds), closed, weights=weights)
+            if self.top is None:
+                self.top = int(self.dist.max())
+                self.dist.setflags(write=False)
         if not self.identity:
             at, nbr = self.shared
             pairs = np.bincount(at, weights=weights[nbr], minlength=self.q)
@@ -535,23 +572,47 @@ def _level_sweep(
     for q columns.  Forward, _level_gather gives the same counts in
     O(q^2 * max degree), which _Quotient.sweep picks on high-diameter
     graphs; the reverse sweep runs here only.
+
+    A forward sweep with nothing blocked, positive seeds and weights of
+    at least 1 may also find the levels, Brandes' one pass for distances
+    and counts: dist then holds -1 off its diagonal, and an entry joins
+    level d, written into dist, in the first product that gives it
+    positive flow.  A blocked node can make an entry's first flow arrive
+    later than its distance, so blocked sweeps read dist.
     """
-    top = int(dist.max())
-    up = () if weights is None else np.flatnonzero(weights > 1.0)
+    find = not reverse and blocked is None and dist.min() < 0
+    top = 0 if find else int(dist.max())
     src = dist == (top if reverse else 0)
-    for d in range(top - 1, -1, -1) if reverse else range(1, top + 1):
-        at = dist == d
-        flow = np.where(src, X, 0.0)
+    if find:
+        unknown = dist < 0
+        dist[...] = unknown  # plus one per product that leaves it unknown: its level
+        levels = range(1, len(dist))  # at most q - 1 of them
+    else:
+        levels = range(top - 1, -1, -1) if reverse else range(1, top + 1)
+    up = () if weights is None else np.flatnonzero(weights > 1.0)
+    flow = np.where(src, X, 0.0)
+    for d in levels:
         if len(up) and (reverse or d > 1):
             flow[up] = flow.take(up, axis=0) * weights[up, None]
         contrib = A @ flow
+        if find:
+            at = contrib > 0.0
+            at &= unknown
+            unknown ^= at
+            dist += unknown
+        else:
+            at = dist == d
         if reverse:
             np.add(X, contrib, out=X, where=at)
+            flow = np.where(at, X, 0.0)
         else:
-            np.copyto(X, contrib, where=at)
+            flow = np.where(at, contrib, 0.0)
+            X += flow  # forward, X is still zero at level d
         if blocked is not None:
             X[blocked] = 0.0
-        src = at
+            flow[blocked] = 0.0
+        if find and not unknown.any():
+            break
     return X
 
 
@@ -602,19 +663,20 @@ def _quotient(g: Graph) -> _Quotient:
 
 
 def apsp(g: Graph) -> PathCounts:
-    """Distances by breadth-first search, path counts by the level DP
-    sigma(s, t) = sum of sigma(s, w) over neighbors w of t one hop closer,
-    both over the twin quotient.  Between members of distinct classes
-    the distance is the quotient's, and sigma the quotient's path count
-    with each interior class weighted by its size.  Two true twins are
-    at distance 1 with sigma 1, two false twins at distance 2 with sigma
-    their degree.  The counts are integers, exact in doubles below 2**53,
-    so they equal a sweep over the whole graph bit for bit.  A count
-    that overflows raises CapExceededError before any n x n array is
-    built, and so does a graph whose n x n dist and sigma, with the
-    level index, would need more than _BYTES_CAP bytes.  Computed once
-    per graph: g keeps the bare read-only arrays, not this PathCounts,
-    which points back at g."""
+    """Path counts by the level DP sigma(s, t) = sum of sigma(s, w) over
+    neighbors w of t one hop closer, over the twin quotient.  The sparse
+    sweep finds the distances in the same pass; the gather reads them
+    from scipy's Dijkstra (see _Quotient.gathers).  Between members of
+    distinct classes the distance is the quotient's, and sigma the
+    quotient's path count with each interior class weighted by its
+    size.  Two true twins are at distance 1 with sigma 1, two false
+    twins at distance 2 with sigma their degree.  The counts are
+    integers, exact in doubles below 2**53, so they equal a sweep over
+    the whole graph bit for bit.  A count that overflows raises
+    CapExceededError before any n x n array is built, and so does a
+    graph whose n x n dist and sigma, with the level index, would need
+    more than _BYTES_CAP bytes.  Computed once per graph: g keeps the
+    bare read-only arrays, not this PathCounts, which points back at g."""
     if g._counts is None:
         qt = _quotient(g)
         with np.errstate(over="ignore"):  # overflow is refused just below

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import mbckit.graph as graph_mod
 from mbckit import CostedInstance, Graph
 from mbckit.generators import gen_random
 from mbckit.graph import csgraph
@@ -38,15 +39,24 @@ def star4():
 
 @pytest.fixture
 def bfs_calls(monkeypatch):
-    """List that grows by one per BFS distance computation in apsp."""
+    """List that grows by one per distance computation in apsp: a scipy
+    shortest-path call, or a level sweep handed unknown levels (-1 in
+    dist), which finds them as it counts."""
     calls = []
-    real = csgraph.shortest_path
+    real_paths = csgraph.shortest_path
+    real_sweep = graph_mod._level_sweep
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def paths(*args, **kwargs):
+        calls.append("shortest_path")
+        return real_paths(*args, **kwargs)
 
-    monkeypatch.setattr(csgraph, "shortest_path", counting)
+    def sweep(A, dist, *args, **kwargs):
+        if (dist < 0).any():
+            calls.append("_level_sweep")
+        return real_sweep(A, dist, *args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "shortest_path", paths)
+    monkeypatch.setattr(graph_mod, "_level_sweep", sweep)
     return calls
 
 

@@ -133,6 +133,26 @@ class TestOracle:
         with pytest.raises(ContractViolationError):
             oracle.gains([True])
 
+    @pytest.mark.parametrize("pool", [None, range(4)], ids=["all-node", "pool"])
+    def test_ids_are_checked_in_array_passes(self, c4, pool):
+        # the checks run on the whole list at once, yet the error names
+        # the first bad id, as checking one id at a time did
+        oracle = GbcOracle(apsp(c4), pool)
+        oracle.add(0)
+        for bad in (True, -1, 4, 2.0):
+            with pytest.raises(ContractViolationError, match=f"node id {bad!r} out of range"):
+                oracle.gains([1, bad, 2])
+            with pytest.raises(ContractViolationError, match=f"node id {bad!r} out of range"):
+                oracle.gain(bad)
+        with pytest.raises(ContractViolationError, match="node id 4 out of range"):
+            oracle.gains([1, 4, -1, True])
+        want = oracle.gains([1, 2, 3])
+        got = oracle.gains([np.int64(1), np.int32(2), np.uint8(3)])
+        assert got.tolist() == want.tolist() == [3.0, 5.0, 3.0]
+        assert oracle.gain(np.int64(2)) == want[1]
+        assert oracle.gains(np.array([3, 0])).tolist() == [3.0, 0.0]
+        assert oracle.gains([]).tolist() == []
+
     @pytest.mark.parametrize("case", range(6))
     def test_sweep_agrees_with_direct(self, case):
         g = _kernel_graphs()[case]

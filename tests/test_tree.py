@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import deque
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ from mbckit import (
     CostedInstance,
     Graph,
     NotATreeError,
+    apsp,
     binarize,
     root_tree,
     solve_exact,
@@ -640,6 +643,21 @@ class TestRetention:
         table = DpTable(bt)
         assert 0 < held_bytes(table) < 2**20
         assert held_bytes(table) <= tree_mod._table_bytes(bt)
+
+    @pytest.mark.parametrize("shape", ["path", "gated"])
+    def test_path_counts_die_with_the_solve(self, shape):
+        # no reference cycle may hold the graph, and its n x n path
+        # counts, until the cyclic collector runs
+        g = path_graph(12) if shape == "path" else hub_tree(14, random.Random(3))
+        inst = CostedInstance(g, np.ones(g.n), 3.0)
+        ref = weakref.ref(apsp(g).sigma)
+        gc.disable()
+        try:
+            tree_solve(inst)
+            del g, inst
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def held_bytes(table):

@@ -406,6 +406,71 @@ class TestOverflowThroughTheGather:
         assert g._counts is None
 
 
+@pytest.mark.usefixtures("kernel")
+@pytest.mark.parametrize("kernel", ["sparse"], indirect=True)
+class TestOverflowOnTheSparseSweep(TestOverflow):
+    """TestOverflow again, and the finite check, under the sparse sweep,
+    which finds the levels as it counts."""
+
+    def test_chain_overflows_without_warnings(self, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        g = k2_chain(174, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceededError, match="overflow"):
+                apsp(g)
+        assert calls == ["_level_sweep"]
+        assert g._counts is None
+
+    test_nan_counts_are_refused = TestOverflowThroughTheGather.test_nan_counts_are_refused
+
+
+def _fused_cases():
+    cases = [(f"random-120-{s}", lambda s=s: gen_random(120, 14 / 119, seed=s)) for s in range(3)]
+    cases += [("random-300", lambda: gen_random(300, 8 / 299, seed=1))]
+    cases += [(f"tree-32-{s}", lambda s=s: gen_random_tree(32, s)) for s in range(3)]
+    cases += [("tree-256", lambda: gen_random_tree(256, 1))]
+    cases += [("tight-2", lambda: gen_tight(2)[0]), ("tight-3", lambda: gen_tight(3)[0])]
+    cases += [("apx", lambda: gen_apx(gen_random(30, 0.2, seed=1), k=1, l=3)[0])]
+    cases += [("star", lambda: star(graph_mod._MIN_TWINS + 8))]
+    cases += [("k5", lambda: Graph([(str(i), str(j)) for i in range(5) for j in range(i + 1, 5)]))]
+    cases += [("edge", lambda: path(2))]
+    return cases
+
+
+class TestFusedSweep:
+    """The sparse sweep finds the levels as it counts: its dist must be
+    scipy's and its counts the dense sweep's, bit for bit."""
+
+    @pytest.mark.parametrize("name,make", _fused_cases(), ids=[c[0] for c in _fused_cases()])
+    def test_levels_and_counts_match(self, name, make, bfs_calls):
+        g = make()
+        qt = _quotient(g)
+        assert not qt.gathers()
+        assert qt.top is None and (qt.dist < 0).sum() == qt.q * (qt.q - 1)
+        pc = apsp(g)
+        assert bfs_calls == ["_level_sweep"]  # scipy computed no distance
+        want = csgraph.shortest_path(qt.adj, method="D", unweighted=True, directed=False)
+        assert qt.dist.dtype == np.int64 and np.array_equal(qt.dist, want.astype(np.int64))
+        assert qt.top == int(want.max()) and not qt.dist.flags.writeable
+        if name == "k5":
+            assert qt.top == 1
+        dist, sigma = dense_apsp(g)
+        assert np.array_equal(pc.dist, dist) and np.array_equal(pc.sigma, sigma)
+
+    def test_a_blocked_sweep_first_finds_the_levels_unblocked(self, bfs_calls):
+        # a blocked sweep cannot find levels: a blocked node delays the
+        # first flow past an entry's distance
+        g = gen_random(60, 0.2, seed=4)
+        qt = _quotient(g)
+        blocked = np.arange(g.n) == 7
+        X = qt.sweep(blocked)
+        assert bfs_calls == ["_level_sweep"] and qt.top is not None
+        dist, _ = dense_apsp(g)
+        assert np.array_equal(qt.dist, dist)
+        assert np.array_equal(X, dense_avoiding(g, dist, blocked))
+
+
 class TestDenseGuard:
     def test_tree_dp_shares_the_cap(self):
         assert tree_mod._TABLE_BYTES_CAP == graph_mod._BYTES_CAP == 1 << 30
