@@ -6,9 +6,9 @@ limit: it walks the affordable subsets of the sorted candidate list,
 each oracle the copy of its parent's plus one addition, and it does
 not extend a subset that already covers every pair.  The walk's root
 is a candidate-space oracle (GbcOracle(pc, pool)), so each step costs
-O(c^2) for c candidates after one O(c n^2) build.  A node fits the
-budget within the audit's slack (greedy._fits), and values within
-greedy._tie_tol of the best tie.
+O(c^2) for c candidates after one build of its path betweenness.  A
+node fits the budget within the audit's slack (greedy._fits), and
+values within greedy._tie_tol of the best tie.
 
 The incumbent is the best subset value walked so far, starting from
 the empty set's.  The walk skips the child S + v, with its subtree,

@@ -18,22 +18,17 @@ once (graph._GATHER_COST holds the rule and its measurement).  Both
 give the same integer counts, and both read the distances that `apsp`
 found: only its unblocked sparse sweep finds levels as it counts, since
 a blocked node can delay an entry's first flow past its distance, and
-the gather's come from scipy's Dijkstra.  The reverse sweep of the
-all-node oracle and the pool's path betweenness stay n x n, and the
-reverse sweep stays on the sparse product.
+the gather's come from scipy's Dijkstra.
 
-The incremental oracle has two representations.  The all-node one,
-behind greedy_unit and greedy_ratio, keeps the n x n member-avoiding
-counts and has one pricing rule.  A pool of any size gets every node's
-gain at once from the reverse level sweep (Brandes' dependency
-accumulation over the member-avoiding counts), O(levels * m * n), and
-that all-node vector is cached until the next addition.  A single
-node with no cache gets the product of member-avoiding x-y paths
-through it, O(n^2): the product that adding it subtracts.  The
-candidate-space one, behind solve_exact and greedy_modified, keeps
-c x c matrices over a pool of c nodes: the avoiding counts and the
-pairwise path betweenness of Puzis, Elovici and Dolev (Phys. Rev. E
-76, 2007), so a gain is a diagonal read and an addition costs O(c^2).
+The incremental oracle, GbcOracle, is the candidate-space oracle of
+Puzis, Elovici and Dolev (Phys. Rev. E 76, 2007) over a pool of c
+nodes, every node unless its caller names a pool.  It keeps two c x c
+matrices, the member-avoiding counts and the pairwise path
+betweenness, so a gain is a diagonal read and an addition costs
+O(c^2).  The path betweenness is built once, from n x n masks per pool
+node for small pools, and for large ones from two reverse level sweeps
+(Brandes' dependency accumulation) over the whole graph, which stay on
+the sparse product; _SLAB_COST holds the rule and its measurement.
 Nothing here ever enumerates paths.
 """
 
@@ -56,6 +51,28 @@ __all__ = [
 
 # Relative slack for clamping float dust in the avoiding-path bookkeeping.
 _CLAMP_REL = 1e-6
+
+# _path_betweenness runs the slab when _SLAB_COST * c * n^2 < levels *
+# (nnz + n) * (n + c), and the two reverse sweeps otherwise; c is the
+# pool size, nnz the graph's and levels one more than apsp's largest
+# class distance.  The sides are the slab's n x n mask entries and the
+# sweeps' per-level products over n + c columns.  Slab over sweep time,
+# best of 3 to 5 on a 2-core x86-64 machine, at x = c n^2 / (levels
+# (nnz + n) (n + c)): gen_random(120, 14/119) 0.73 at x = 0.14 (c = 9)
+# and 2.3 at 0.40 (c = 30); gen_random(300, 8/299) 0.55 at 0.15 and
+# 1.19 at 0.30; a 200-node path 0.63 at 0.11 and 2.5 at 0.17; a 15x15
+# grid 0.35 at 0.10 and 1.8 at 0.33; a 128-node random tree 0.35 at
+# 0.17 and 1.23 at 0.51; gen_tight(2) 0.27 at 0.027 (c = 9) and 1.13 at
+# 0.096; gen_tight(3) 0.20 at 0.020 (c = 9), 0.49 at 0.045 and 3.4 at
+# 0.16.  Every pool of every node took the sweep, 2.5 to 35 times
+# faster.  The crossover lies between x = 0.05 and 0.4; the constant
+# puts it at 1/7.
+_SLAB_COST = 7
+
+# _pool_add updates the path betweenness in row blocks of at most this
+# many entries, so a large pool's temporaries stay near 8 MB each; a
+# pool of up to 1024 nodes takes one block.
+_ADD_ENTRIES = 1 << 20
 
 
 def _node_ids(g: Graph, nodes: list) -> np.ndarray:
@@ -142,33 +159,36 @@ def gbc_modified(pc: PathCounts, essential_pairs, group) -> float:
 
 
 class _Pool:
-    """The candidate space of a pool oracle, read-only and shared by copies.
+    """The candidate space of an oracle, read-only and shared by copies.
 
-    ids holds the sorted pool nodes and at maps each one to its position.
-    dist, sigma and pb are c x c over the pool: hop distances, path counts
-    and the path betweenness of the empty group.
+    The pool nodes are sorted, and at[v] is node v's position among
+    them, or -1 outside the pool.  dist, sigma and pb are c x c over the
+    pool: hop distances, path counts and the path betweenness of the
+    empty group.  A pool of every node shares apsp's dist and sigma.
     """
 
-    __slots__ = ("ids", "at", "dist", "sigma", "pb")
+    __slots__ = ("at", "dist", "sigma", "pb")
 
     def __init__(self, pc: PathCounts, pool):
-        ids = sorted(set(pool))
-        for v in ids:
-            _check_node(pc.graph, v)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.at = {v: i for i, v in enumerate(ids)}
-        grid = np.ix_(self.ids, self.ids)
-        self.dist = pc.dist[grid]
-        self.sigma = pc.sigma[grid]
-        self.pb = _path_betweenness(pc, self.ids)
-        for a in (self.dist, self.sigma, self.pb):
+        n = pc.n
+        ids = np.unique(_node_ids(pc.graph, list(range(n) if pool is None else pool)))
+        self.at = np.full(n, -1, dtype=np.int64)
+        self.at[ids] = np.arange(len(ids))
+        if len(ids) == n:
+            self.dist, self.sigma = pc.dist, pc.sigma
+        else:
+            grid = np.ix_(ids, ids)
+            self.dist, self.sigma = pc.dist[grid], pc.sigma[grid]
+        self.pb = _path_betweenness(pc, ids)
+        for a in (self.at, self.dist, self.sigma, self.pb):
             a.setflags(write=False)
 
-    def positions(self, nodes) -> np.ndarray:
-        try:
-            return np.array([self.at[v] for v in nodes], dtype=np.int64)
-        except KeyError as exc:
-            raise ContractViolationError(f"node {exc.args[0]} is not in the pool") from None
+    def positions(self, ids: np.ndarray) -> np.ndarray:
+        """Pool positions of an array of checked node ids."""
+        at = self.at[ids]
+        if len(at) and at.min() < 0:
+            raise ContractViolationError(f"node {ids[at < 0][0]} is not in the pool")
+        return at
 
 
 def _path_betweenness(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
@@ -180,9 +200,24 @@ def _path_betweenness(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
     condition says u lies on a shortest x-w path and w on a shortest x-y
     path, so PB[u, w] = sigma(u, w) * sum_x [u on a shortest x-w path]
     sigma(x, u) G[w, x], where G[w, x] = sum_y [w on a shortest x-y path]
-    sigma(w, y) / sigma(x, y).  G costs O(c n^2) and PB O(c^2 n), each
-    in slabs held under 16M entries.
+    sigma(w, y) / sigma(x, y).  _pb_slab and _pb_sweep compute it, as
+    _pb_sweeps chooses.
     """
+    return (_pb_sweep if _pb_sweeps(pc, len(ids)) else _pb_slab)(pc, ids)
+
+
+def _pb_sweeps(pc: PathCounts, c: int) -> bool:
+    """Whether _path_betweenness over c pool nodes runs _pb_sweep (see
+    _SLAB_COST); levels is one more than the largest class distance
+    that apsp found."""
+    n, nnz = pc.n, pc.graph.csr().nnz
+    levels = _quotient(pc.graph).top + 1
+    return _SLAB_COST * c * n * n >= levels * (nnz + n) * (n + c)
+
+
+def _pb_slab(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
+    """_path_betweenness from n x n masks per pool node: G's pool rows in
+    O(c n^2) and PB in O(c^2 n), each in slabs held under 16M entries."""
     d, sigma = pc.dist, pc.sigma
     n, c = pc.n, len(ids)
     inv = 1.0 / sigma
@@ -203,6 +238,30 @@ def _path_betweenness(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
     return PB * sigma[np.ix_(ids, ids)]
 
 
+def _pb_sweep(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
+    """_path_betweenness from two reverse level sweeps, O(levels (nnz + n)
+    (n + c)).
+
+    The first sweep runs over all n columns, column x rooted at x and
+    seeded with 1 / sigma(x, y) at each y.  Entry w then sums the seeds
+    of the y below w, each times the sigma(w, y) paths down to it, which
+    is G[w, x] (Brandes' dependency accumulation).  Column j of PB is
+    sigma(u, w_j) H[u, j], where H[u, j] = sum_x [u on a shortest x-w_j
+    path] sigma(x, u) G[w_j, x]: the second sweep, over the c pool
+    columns, column j rooted at w_j and seeded with G[w_j, x] at x.
+    """
+    A, dist, sigma = pc.graph.csr(), pc.dist, pc.sigma
+    G = _level_sweep(A, dist, 1.0 / sigma, reverse=True)
+    every = len(ids) == pc.n  # then PB is H * sigma, formed in place
+    H = np.ascontiguousarray((G if every else G[ids]).T)
+    del G
+    _level_sweep(A, dist if every else dist[:, ids], H, reverse=True)
+    if every:
+        H *= sigma
+        return H
+    return H[ids] * sigma[np.ix_(ids, ids)]
+
+
 def _clamp(T: np.ndarray, ref: np.ndarray) -> None:
     """Zero float dust below 0 in T, a count that only decreases from ref."""
     neg = T < 0.0
@@ -212,70 +271,44 @@ def _clamp(T: np.ndarray, ref: np.ndarray) -> None:
         T[neg] = 0.0
 
 
+def _ratio(P: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """P / S, and zero where S is zero."""
+    return np.divide(P, S, out=np.zeros_like(P), where=S > 0.0)
+
+
 class GbcOracle:
     """Incremental GBC evaluator over a growing member set.
 
-    sigma_tilde[x, y] counts the shortest x-y paths that avoid every
-    member.  The diagonal entry stays 1 until the node itself joins
-    (the zero-length path at w contains w), which makes the update
-    product formula uniform for endpoint pairs.
+    It is the candidate-space oracle of Puzis, Elovici and Dolev (Phys.
+    Rev. E 76, 2007), over a pool of c nodes: GbcOracle(pc) pools every
+    node, as greedy_unit and greedy_ratio need, and GbcOracle(pc, pool)
+    only the given ones, as the subset walk of solve_exact and
+    greedy_modified needs.  It prices and adds pool nodes only, and
+    keeps two c x c matrices over the sorted pool.  sigma_tilde[x, y]
+    counts the shortest x-y paths that avoid every member; its diagonal
+    entry stays 1 until the node itself joins (the zero-length path at
+    w contains w), which makes the update product formula uniform for
+    endpoint pairs.  _pb[u, w] is the member-avoiding path betweenness,
+    the pairs' fraction of shortest paths that meet u and then w and
+    avoid every member (see _path_betweenness).  _pb is built once, in
+    O(c n^2) for small pools and O(levels (nnz + n) (n + c)) for large
+    ones; then a gain is the diagonal read _pb[v, v] - 1, and add() and
+    copy() cost O(c^2).
 
-    The oracle has two representations, chosen by its caller.
-
-    GbcOracle(pc) keeps sigma_tilde over all n nodes and prices any
-    node.  greedy_unit and greedy_ratio, whose pool is the whole graph,
-    use it.  It has one pricing rule:
-
-    * gains() always runs the reverse level sweep, _sweep_gains():
-      D[v, x] is [v not a member] / sigma(x, v) plus the sum of D[w, x]
-      over the successors w of v in the shortest-path DAG rooted at x,
-      and zero for a member v.  Then gain(v) = sum_x sigma_tilde[x, v]
-      * D[v, x] - 1, for every node at once in O(levels * m * n) time,
-      where levels = diameter + 1.  The all-node vector is cached:
-      later gains() and gain() calls read it, copy() shares it, and
-      add() drops it.
-    * gain(v) with no cache takes the through-v product, _through(v):
-      the avoiding x-y paths through v, sigma_tilde[x, v] *
-      sigma_tilde[v, y] wherever v lies on a shortest x-y path, O(n^2).
-      add(v) subtracts the same product from sigma_tilde and returns
-      the same gain.  A single node keeps the product because the
-      sweep prices all n nodes to read one: pricing each single node by
-      a sweep made `mbckit verify oracle`, which prices one node before
-      every addition, 3 to 5 times slower on a 200-node path and a
-      20x20 grid.
-
-    GbcOracle(pc, pool) is the candidate-space oracle of Puzis, Elovici
-    and Dolev (Phys. Rev. E 76, 2007).  It prices and adds only pool
-    nodes, and keeps two c x c matrices over the c sorted pool nodes:
-    sigma_tilde restricted to the pool, and the member-avoiding path
-    betweenness _pb[u, w], the pairs' fraction of shortest paths that
-    meet u and then w and avoid every member (see _path_betweenness).
-    Building _pb costs O(c n^2) once; then a gain is the diagonal read
-    _pb[v, v] - 1, and add() and copy() are O(c^2).  solve_exact and
-    greedy_modified build their subset walk's root this way.
-
-    add() is the only mutator of the member set and the counts.
-    gains() may fill the cache, but it stores a finished read-only
-    vector with one attribute assignment, so concurrent gain() and
-    gains() calls on one oracle are safe: at worst two threads compute
-    the same vector and the later store wins.  An uncached gain()
-    stores nothing.  An add() needs exclusive access.
+    add() is the only mutator.  gain() and gains() only read, so
+    concurrent readers of one oracle are safe; an add() needs exclusive
+    access.
     """
 
-    __slots__ = ("pc", "_members", "sigma_tilde", "base_value", "_gain_all", "_pool", "_pb")
+    __slots__ = ("pc", "_members", "sigma_tilde", "base_value", "_pool", "_pb")
 
     def __init__(self, pc: PathCounts, pool=None):
         self.pc = pc
         self._members: set[int] = set()
         self.base_value = 0.0
-        self._gain_all: np.ndarray | None = None
-        if pool is None:
-            self._pool = self._pb = None
-            self.sigma_tilde = pc.sigma.copy()
-        else:
-            self._pool = _Pool(pc, pool)
-            self.sigma_tilde = self._pool.sigma.copy()
-            self._pb = self._pool.pb.copy()
+        self._pool = _Pool(pc, pool)
+        self.sigma_tilde = self._pool.sigma.copy()
+        self._pb = self._pool.pb.copy()
 
     def copy(self) -> "GbcOracle":
         dup = object.__new__(GbcOracle)
@@ -283,9 +316,8 @@ class GbcOracle:
         dup._members = set(self._members)
         dup.sigma_tilde = self.sigma_tilde.copy()
         dup.base_value = self.base_value
-        dup._gain_all = self._gain_all
         dup._pool = self._pool
-        dup._pb = None if self._pb is None else self._pb.copy()
+        dup._pb = self._pb.copy()
         return dup
 
     @property
@@ -296,66 +328,28 @@ class GbcOracle:
     def members(self) -> tuple[int, ...]:
         return tuple(sorted(self._members))
 
-    def _through(self, v: int) -> tuple[np.ndarray, float]:
-        """The member-avoiding shortest x-y paths through the non-member v,
-        n x n, and v's gain."""
-        d = self.pc.dist
-        T = self.sigma_tilde
-        on_path = (d[:, v, None] + d[v]) == d
-        through = np.where(on_path, T[:, v, None] * T[v], 0.0)
-        # (v, v) is no pair; its term is exactly 1 for a non-member v
-        return through, float((through / self.pc.sigma).sum()) - 1.0
-
-    def _sweep_gains(self) -> np.ndarray:
-        """Every node's gain from one reverse level sweep; members score 0."""
-        pc = self.pc
-        member = _member_mask(pc, self._members)
-        D = (~member)[:, None] / pc.sigma
-        _level_sweep(pc.graph.csr(), pc.dist, D, member, reverse=True)
-        out = np.einsum("xv,vx->v", self.sigma_tilde, D) - 1.0
-        out[member] = 0.0
-        return out
-
     def gain(self, v: int) -> float:
         """GBC(members + v) - GBC(members); zero for an existing member."""
-        if self._pool is not None or self._gain_all is not None:
-            return float(self.gains([v])[0])
-        _check_node(self.pc.graph, v)
-        return 0.0 if v in self._members else self._through(v)[1]
+        return float(self.gains([v])[0])
 
     def gains(self, candidates) -> np.ndarray:
         """gain() of every candidate, in order; members score 0."""
         cands = list(candidates)
-        ids = _node_ids(self.pc.graph, cands)
-        out = np.zeros(len(cands), dtype=np.float64)
-        fresh = np.array(
-            [i for i, v in enumerate(cands) if v not in self._members], dtype=np.int64
-        )
-        if self._pool is not None:
-            at = self._pool.positions(cands)
-            out[fresh] = self._pb[at[fresh], at[fresh]] - 1.0
-            return out
-        vec = self._gain_all
-        if vec is None:
-            vec = self._sweep_gains()
-            vec.setflags(write=False)
-            self._gain_all = vec
-        out[fresh] = vec[ids[fresh]]
+        at = self._pool.positions(_node_ids(self.pc.graph, cands))
+        out = self._pb[at, at] - 1.0
+        if self._members:
+            out[[i for i, v in enumerate(cands) if v in self._members]] = 0.0
         return out
 
     def add(self, v: int) -> float:
         """Insert v, update the avoiding counts, and return the gain."""
         _check_node(self.pc.graph, v)
-        at = None if self._pool is None else int(self._pool.positions([v])[0])
+        m = int(self._pool.at[v])
+        if m < 0:
+            raise ContractViolationError(f"node {v} is not in the pool")
         if v in self._members:
             raise ContractViolationError(f"node {v} is already a member")
-        if at is None:
-            through, gain = self._through(v)
-            self._gain_all = None
-            self.sigma_tilde -= through
-            _clamp(self.sigma_tilde, self.pc.sigma)
-        else:
-            gain = self._pool_add(at)
+        gain = self._pool_add(m)
         self._members.add(v)
         self.base_value += gain
         return gain
@@ -366,25 +360,36 @@ class GbcOracle:
         The paths that meet u and then w lose those that also meet m,
         before u, between them or after w.  Each of the three counts is
         a PB entry times the share of its avoiding paths that take the
-        detour through the third node.
+        detour through the third node.  Rows are updated in blocks of
+        at most _ADD_ENTRIES entries, so a large pool's temporaries stay
+        small; each later block reads row and column m as they were.
         """
         S, PB, D = self.sigma_tilde, self._pb, self._pool.dist
         gain = float(PB[m, m]) - 1.0
-        R = np.divide(PB, S, out=np.zeros_like(PB), where=S > 0.0)
-        Sm = S[:, m]
-        Dm = D[:, m]
-        via = Dm[:, None] + Dm[None, :] == D  # u, m, w
-        lead = Dm[:, None] + D == Dm[None, :]  # m, u, w
-        trail = D + Dm[None, :] == Dm[:, None]  # u, w, m
-        through = np.where(via, np.outer(Sm, Sm), 0.0)
-        PB -= (
-            R * through
-            + np.where(lead, R[m][None, :] * Sm[:, None] * S, 0.0)
-            + np.where(trail, R[:, m][:, None] * S * Sm[None, :], 0.0)
-        )
+        c = len(S)
+        step = max(1, _ADD_ENTRIES // c)
+        Sm, Dm = S[:, m], D[:, m]
+        if step < c:
+            Sm = Sm.copy()
+            Rm, Rcol = _ratio(PB[m], S[m]), _ratio(PB[:, m], Sm)
+        for lo in range(0, c, step):
+            rows = slice(lo, lo + step)
+            Sb, Db, Sr, Dr = S[rows], D[rows], Sm[rows, None], Dm[rows, None]
+            R = _ratio(PB[rows], Sb)
+            if step >= c:
+                Rm, Rcol = R[m], R[:, m]
+            via = Dr + Dm[None, :] == Db  # u, m, w
+            lead = Dr + Db == Dm[None, :]  # m, u, w
+            trail = Db + Dm[None, :] == Dr  # u, w, m
+            through = np.where(via, Sr * Sm[None, :], 0.0)
+            PB[rows] -= (
+                R * through
+                + np.where(lead, Rm[None, :] * Sr * Sb, 0.0)
+                + np.where(trail, Rcol[rows, None] * Sb * Sm[None, :], 0.0)
+            )
+            Sb -= through
         PB[m, :] = 0.0
         PB[:, m] = 0.0
-        S -= through
         _clamp(S, self._pool.sigma)
         _clamp(PB, self._pool.pb)
         return gain

@@ -730,20 +730,27 @@ def enumerate_shortest_paths(
     goal = dist[s, t]
     out: list[list[int]] = []
     path = [s]
-
-    def walk(u: int) -> None:
+    # depth-first with an explicit stack: todo[i] holds the next hops
+    # from path[i] still to try, descending, so that popping them gives
+    # the paths in lexicographic order
+    todo: list[list[int]] = []
+    while True:
+        u = path[-1]
         if u == t:
             out.append(list(path))
-            return
-        du = dist[s, u]
-        for w in g.adj[u]:
-            if dist[s, w] == du + 1 and dist[w, t] == goal - du - 1:
-                path.append(w)
-                walk(w)
-                path.pop()
-
-    walk(s)
-    return out
+            path.pop()
+        else:
+            du = dist[s, u]
+            todo.append(
+                [w for w in reversed(g.adj[u])
+                 if dist[s, w] == du + 1 and dist[w, t] == goal - du - 1]
+            )
+        while todo and not todo[-1]:
+            todo.pop()
+            path.pop()
+        if not todo:
+            return out
+        path.append(todo[-1].pop())
 
 
 def _load_document(text: str):

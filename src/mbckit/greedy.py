@@ -20,9 +20,10 @@ the budget when _fits says so, within the audit's slack.
 
 Tie-breaking is everywhere by smallest node id, and between outcomes
 by smallest seed or set.  Ties are detected within _tie_tol: the
-coverage bridge and the two oracle representations compute the same
-rational values along different float paths, and exact comparison
-would let last-bit noise pick different winners.
+coverage bridge, the direct evaluators and the oracle's two
+path-betweenness kernels compute the same rational values along
+different float paths, and exact comparison would let last-bit noise
+pick different winners.
 """
 
 from __future__ import annotations
@@ -208,8 +209,6 @@ def greedy_ratio(inst: CostedInstance) -> Solution:
     single node and the scan only wins ties.
     """
     oracle = GbcOracle(apsp(inst.graph))
-    # priced on the empty oracle; a swept pool leaves the vector that
-    # the scan's first step reads
     single = _best_single(inst, oracle)
     added = _ratio_augment(oracle, inst, range(inst.graph.n))
     nodes = tuple(sorted(added))
@@ -281,38 +280,55 @@ def _subsets(root, cand, costs, budget, size, outcome, first, *, restarts):
     _tie_tol of the best are those of the unbounded walk, and
     _best_outcome picks the same one.
     """
-    n = root.pc.n
-    tol = _tie_tol(n)
-    full = n * (n - 1) - tol
-    limit = _limit(budget)
     cc = [float(costs[v]) for v in cand]
-    records = [first]
-    best = first[0]
+    w = _Walk(cand, cc, budget, size, outcome, restarts, [first], first[0])
+    _walk(w, root, 0, (), 0.0)
+    return w.records
 
-    def walk(oracle, lo, seed, spent):
-        nonlocal best
-        value = oracle.base_value
-        if len(seed) == size or value >= full:
-            return
-        gains = oracle.gains(cand).tolist()
-        items = sorted(((g, cc[i], i) for i, g in enumerate(gains) if g > 0.0), key=_rank)
-        for j in range(lo, len(cand)):
-            c = cc[j]
-            if not _fits(spent, c, budget):
-                continue
-            room = max(0.0, limit - spent - c)
-            if _bound(value + gains[j], items, room, j if restarts else 0, j) < best - 2 * tol:
-                continue
-            child = oracle.copy()
-            child.add(cand[j])
-            sub = seed + (cand[j],)
-            walk(child, j + 1, sub, spent + c)
-            record = outcome(sub, child)
-            records.append(record)
-            best = max(best, record[0])
 
-    walk(root, 0, (), 0.0)
-    return records
+@dataclass
+class _Walk:
+    """One _subsets walk: what it reads, its records so far, and the
+    incumbent best, their largest value.  The recursion is module-level,
+    not a closure that calls itself: such a closure is a reference cycle
+    that would keep the walk's oracles, and with them the graph's n x n
+    path counts, alive until the cyclic collector runs."""
+
+    cand: list[int]
+    cc: list[float]
+    budget: float
+    size: int
+    outcome: object
+    restarts: bool
+    records: list
+    best: float
+
+
+def _walk(w: _Walk, oracle, lo: int, seed: tuple[int, ...], spent: float) -> None:
+    """Walk the subsets that extend seed, whose oracle is given, by pool
+    positions lo and later."""
+    n = oracle.pc.n
+    tol = _tie_tol(n)
+    value = oracle.base_value
+    if len(seed) == w.size or value >= n * (n - 1) - tol:
+        return
+    gains = oracle.gains(w.cand).tolist()
+    items = sorted(((g, w.cc[i], i) for i, g in enumerate(gains) if g > 0.0), key=_rank)
+    limit = _limit(w.budget)
+    for j in range(lo, len(w.cand)):
+        c = w.cc[j]
+        if not _fits(spent, c, w.budget):
+            continue
+        room = max(0.0, limit - spent - c)
+        if _bound(value + gains[j], items, room, j if w.restarts else 0, j) < w.best - 2 * tol:
+            continue
+        child = oracle.copy()
+        child.add(w.cand[j])
+        sub = seed + (w.cand[j],)
+        _walk(w, child, j + 1, sub, spent + c)
+        record = w.outcome(sub, child)
+        w.records.append(record)
+        w.best = max(w.best, record[0])
 
 
 def _best_outcome(outcomes, n: int):

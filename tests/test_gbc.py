@@ -6,18 +6,25 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import mbckit.gbc as gbc_mod
 from mbckit import (
     ContractViolationError,
+    CostedInstance,
     GbcOracle,
     Graph,
     apsp,
     brandes_bc,
     gbc_direct,
     gbc_modified,
+    greedy_modified,
+    greedy_ratio,
+    greedy_unit,
+    solve_exact,
 )
-from mbckit.generators import gen_random
+from mbckit.generators import gen_apx, gen_random, gen_random_costs, gen_random_tree, gen_tight
 
 from oracle_utils import gbc_brute, gbc_modified_brute
+from test_twins import grid, path
 
 
 class TestGbcDirect:
@@ -154,33 +161,30 @@ class TestOracle:
         assert oracle.gains([]).tolist() == []
 
     @pytest.mark.parametrize("case", range(6))
-    def test_sweep_agrees_with_direct(self, case):
+    def test_sweep_agrees_with_direct(self, case, monkeypatch):
+        # every node's pool is large enough to take the two reverse sweeps
+        calls = pb_kernel_calls(monkeypatch)
         g = _kernel_graphs()[case]
         pc = apsp(g)
         oracle = GbcOracle(pc)
+        assert calls == ["_pb_sweep"]
         chosen = random.Random(case).sample(range(g.n), 3)
         for v in chosen:
             oracle.add(v)
         pool = list(range(g.n))  # members stay in the pool
-        sweep = oracle._sweep_gains()
+        every = oracle.gains(pool)
         base = gbc_direct(pc, chosen)
         want = [0.0 if v in chosen else gbc_direct(pc, chosen + [v]) - base for v in pool]
         scale = g.n * g.n
-        assert np.abs(sweep - want).max() <= 1e-9 * scale
-        # the first call of any size sweeps and fills the cache; every later
-        # pool, of one to three candidates or of all of them, reads it
-        assert oracle._gain_all is None
+        assert np.abs(every - want).max() <= 1e-9 * scale
+        # pools of one to three candidates read the same gains
         lo = 0
         while lo < g.n:
             part = pool[lo : lo + 1 + lo % 3]
             got = oracle.gains(part)
-            assert oracle._gain_all is not None
-            assert got.tolist() == sweep[part].tolist()
+            assert got.tolist() == every[part].tolist()
             assert np.abs(got - np.take(want, part)).max() <= 1e-9 * scale
             lo += len(part)
-        vec = oracle._gain_all
-        assert oracle.gains(pool).tolist() == sweep.tolist()
-        assert oracle._gain_all is vec
 
     @pytest.mark.parametrize("case", range(6))
     def test_uncached_gain_is_the_add_product(self, case):
@@ -189,15 +193,13 @@ class TestOracle:
         chosen = random.Random(case + 20).sample(range(g.n), 3)
         for v in chosen:
             oracle.add(v)
-        sweep = oracle._sweep_gains()
+        every = oracle.gains(range(g.n))
         for v in range(g.n):
             got = oracle.gain(v)
-            assert oracle._gain_all is None  # a single gain stores nothing
             if v in chosen:
                 assert got == 0.0
                 continue
-            assert got == oracle.copy().add(v)
-            assert abs(got - sweep[v]) <= 1e-12 * g.n * g.n
+            assert got == oracle.copy().add(v) == every[v]
 
     def test_add_drops_cached_gains(self):
         g = gen_random(30, 0.2, seed=71)
@@ -219,18 +221,16 @@ class TestOracle:
         oracle = GbcOracle(apsp(g))
         oracle.add(0)
         pool = list(range(g.n))
-        cached = oracle.gains(pool)
+        gains = oracle.gains(pool)
         singles = [oracle.gain(v) for v in pool]
-        vec = oracle._gain_all
         fork = oracle.copy()
         fork.add(1)
-        assert oracle._gain_all is vec
-        assert oracle.gains(pool).tolist() == cached.tolist()
+        assert oracle.gains(pool).tolist() == gains.tolist()
         assert [oracle.gain(v) for v in pool] == singles
         assert fork.gain(1) == 0.0
+        assert fork.gains(pool).tolist() != gains.tolist()
 
     def test_concurrent_readers_agree(self):
-        # gains() fills the cache from whichever thread gets there first
         g = gen_random(30, 0.2, seed=73)
         pc = apsp(g)
         pool = list(range(g.n))
@@ -241,13 +241,12 @@ class TestOracle:
                 for rnd in range(4):
                     oracle = GbcOracle(pc)
                     oracle.add(rnd)
-                    want = oracle.copy()._sweep_gains()
+                    want = oracle.copy().gains(pool)
                     calls = [pool if i % 2 else [i] for i in range(24)]
                     futures = [ex.submit(oracle.gains, c) for c in calls]
                     for c, fut in zip(calls, futures):
-                        got = fut.result(timeout=60)
-                        assert np.abs(got - want[c]).max() <= 1e-12 * g.n * g.n
-                    assert oracle._gain_all.tolist() == want.tolist()
+                        assert fut.result(timeout=60).tolist() == want[c].tolist()
+                    assert oracle.gains(pool).tolist() == want.tolist()
         finally:
             sys.setswitchinterval(switch)
 
@@ -352,6 +351,101 @@ class TestPoolOracle:
         assert fork.value == pytest.approx(gbc_direct(pc, pool[:2]), abs=1e-9 * g.n**2)
         parent.add(pool[2])
         assert fork.members == (pool[0], pool[1])
+
+
+@pytest.fixture(params=["slab", "sweep"])
+def pb_kernel(request, monkeypatch):
+    """Force one path-betweenness kernel on every pool."""
+    sweeps = request.param == "sweep"
+    monkeypatch.setattr(gbc_mod, "_pb_sweeps", lambda pc, c: sweeps)
+    return request.param
+
+
+def pb_kernel_calls(monkeypatch):
+    """Record the name of each path-betweenness kernel as it runs."""
+    calls = []
+    for name in ("_pb_slab", "_pb_sweep"):
+        real = getattr(gbc_mod, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(gbc_mod, name, counting)
+    return calls
+
+
+@pytest.mark.usefixtures("pb_kernel")
+class TestPoolOraclePerKernel(TestPoolOracle):
+    """TestPoolOracle again, once under each forced kernel."""
+
+
+def _pb_graphs():
+    return [
+        ("path-40", lambda: path(40)),
+        ("grid-6x7", lambda: grid(6, 7)),
+        ("tree-48", lambda: gen_random_tree(48, 3)),
+        ("random-40", lambda: gen_random(40, 0.15, seed=8)),
+        ("tight-2", lambda: gen_tight(2)[0]),
+        ("tight-3", lambda: gen_tight(3)[0]),
+        ("apx", lambda: gen_apx(gen_random(6, 0.5, seed=4), k=2, l=3)[0]),
+    ]
+
+
+class TestPbKernels:
+    @pytest.mark.parametrize("name,make", _pb_graphs(), ids=[c[0] for c in _pb_graphs()])
+    def test_slab_and_sweep_agree(self, name, make):
+        g = make()
+        pc = apsp(g)
+        scale = g.n * g.n
+        rng = np.random.default_rng(len(name))
+        for c in sorted({1, 3, 9, g.n // 4, g.n}):
+            ids = np.sort(rng.choice(g.n, c, replace=False))
+            slab, sweep = gbc_mod._pb_slab(pc, ids), gbc_mod._pb_sweep(pc, ids)
+            assert np.abs(slab - sweep).max() <= 1e-12 * scale
+        # with every node pooled, the diagonal minus 1 is each node's value
+        want = [gbc_direct(pc, [v]) for v in range(g.n)]
+        for pb in (slab, sweep):
+            assert np.abs(np.diagonal(pb) - 1.0 - want).max() <= 1e-9 * scale
+
+    def test_every_node_pool_shares_apsp_arrays(self):
+        pc = apsp(gen_random(30, 0.2, seed=74))
+        pool = GbcOracle(pc)._pool
+        assert pool.dist is pc.dist and pool.sigma is pc.sigma
+        part = GbcOracle(pc, range(1, pc.n))._pool
+        assert (part.sigma == pc.sigma[1:, 1:]).all() and (part.dist == pc.dist[1:, 1:]).all()
+
+    def test_blocked_add_is_bit_identical(self, monkeypatch):
+        # a pool past _ADD_ENTRIES updates in row blocks; each block must
+        # read row and column m as they were before the add
+        g = gen_random(40, 0.15, seed=9)
+        pc = apsp(g)
+        whole, blocked = GbcOracle(pc), GbcOracle(pc)
+        for v in (17, 0, 39, 5, 22):
+            want = whole.add(v)
+            monkeypatch.setattr(gbc_mod, "_ADD_ENTRIES", 7 * g.n)  # blocks of 7 rows
+            assert blocked.add(v) == want
+            monkeypatch.undo()
+            assert (blocked.sigma_tilde == whole.sigma_tilde).all()
+            assert (blocked._pb == whole._pb).all()
+
+    def test_bench_pools_choose_their_kernel(self, monkeypatch):
+        calls = pb_kernel_calls(monkeypatch)
+        # the restart walk's whitelists of 7 and 9 nodes take the slab
+        for k in (2, 3):
+            g, meta = gen_tight(k)
+            inst = CostedInstance.unit(g, float(k))
+            greedy_modified(inst, g.ids(meta.whitelist))
+            solve_exact(inst, g.ids(meta.whitelist))
+        assert calls == ["_pb_slab"] * 4
+        # every node of a 120-node random graph of mean degree 14 takes the sweeps
+        calls.clear()
+        for seed in range(3):
+            g = gen_random(120, 14 / 119, seed=seed)
+            greedy_unit(CostedInstance.unit(g, 10.0), 10)
+            costs = gen_random_costs(g, (1, 5), seed=seed)
+            greedy_ratio(CostedInstance(g, np.array([costs[lab] for lab in g.labels]), 10.0))
+        assert calls == ["_pb_sweep"] * 6
 
 
 def _kernel_graphs():

@@ -302,6 +302,37 @@ class TestPathPredicates:
     def test_enumerate_same_endpoint(self, p3):
         assert enumerate_shortest_paths(p3, 1, 1) == [[1]]
 
+    def test_enumerate_long_path(self):
+        # one path of 1,200 nodes, deeper than the interpreter's recursion limit
+        g = Graph([(str(i), str(i + 1)) for i in range(1199)])
+        assert enumerate_shortest_paths(g, 0, 1199) == [list(range(1200))]
+        assert enumerate_shortest_paths(g, 1199, 1) == [list(range(1199, 0, -1))]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_enumerate_lists_every_path_once_in_order(self, seed):
+        g = gen_random(9, 0.35, seed=seed + 30)
+        pc = apsp(g)
+        for s, t in [(0, g.n - 1), (1, 4), (3, 3), (g.n - 2, 0)]:
+            paths = enumerate_shortest_paths(g, s, t)
+            assert paths == sorted(paths)
+            assert len(paths) == len({tuple(p) for p in paths}) == pc.sigma[s, t]
+            for p in paths:
+                assert (p[0], p[-1], len(p) - 1) == (s, t, pc.dist[s, t])
+                assert all(g.has_edge(u, v) for u, v in zip(p, p[1:]))
+
+    def test_enumerate_frees_the_graph(self):
+        g = Graph([(str(i), str(i + 1)) for i in range(29)])
+        ref = weakref.ref(apsp(g).sigma)
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(enumerate_shortest_paths(g, 0, 29)) == 1
+            del g
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_enumerate_cap(self, c4):
         with pytest.raises(CapExceededError) as err:
             enumerate_shortest_paths(c4, 0, 2, cap=1)

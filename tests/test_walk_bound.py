@@ -6,7 +6,9 @@ walk_reference returns: the same sets, seeds and orders, and bit-equal
 values.  The counter pins say how much of the walk the bound skips.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -178,3 +180,22 @@ class TestBound:
                         if spent + float(costs[list(more)].sum()) <= budget:
                             value = gbc_direct(pc, seed + more)
                             assert value <= bound + 1e-9 * g.n**2
+
+
+class TestRetention:
+    @pytest.mark.parametrize("solver", [greedy_modified, solve_exact], ids=["modified", "exact"])
+    def test_walk_leaves_no_cycle(self, solver):
+        # a walk that recursed through a closure calling itself left a
+        # reference cycle, which kept greedy_modified's instance, and so
+        # the graph's n x n path counts, until the cyclic collector ran
+        inst, cand = tight_case(3)
+        ref = weakref.ref(apsp(inst.graph).sigma)
+        gc.collect()
+        gc.disable()
+        try:
+            solver(inst, cand)
+            del inst
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
