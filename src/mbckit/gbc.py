@@ -57,16 +57,16 @@ _CLAMP_REL = 1e-6
 # pool size, nnz the graph's and levels one more than apsp's largest
 # class distance.  The sides are the slab's n x n mask entries and the
 # sweeps' per-level products over n + c columns.  Slab over sweep time,
-# best of 3 to 5 on a 2-core x86-64 machine, at x = c n^2 / (levels
-# (nnz + n) (n + c)): gen_random(120, 14/119) 0.73 at x = 0.14 (c = 9)
-# and 2.3 at 0.40 (c = 30); gen_random(300, 8/299) 0.55 at 0.15 and
-# 1.19 at 0.30; a 200-node path 0.63 at 0.11 and 2.5 at 0.17; a 15x15
-# grid 0.35 at 0.10 and 1.8 at 0.33; a 128-node random tree 0.35 at
-# 0.17 and 1.23 at 0.51; gen_tight(2) 0.27 at 0.027 (c = 9) and 1.13 at
-# 0.096; gen_tight(3) 0.20 at 0.020 (c = 9), 0.49 at 0.045 and 3.4 at
-# 0.16.  Every pool of every node took the sweep, 2.5 to 35 times
-# faster.  The crossover lies between x = 0.05 and 0.4; the constant
-# puts it at 1/7.
+# best of 5 with one BLAS thread on a 2-core x86-64 machine, random pools
+# at x = c n^2 / (levels (nnz + n) (n + c)): gen_random(120, 14/119)
+# 0.76 at x = 0.14 (c = 9) and 2.5 at 0.40 (c = 30); gen_random(300,
+# 8/299) 0.37 at 0.15 and 0.70 at 0.30; a 200-node path 0.45 at 0.11;
+# a 15x15 grid 0.30 at 0.10 and 1.1 at 0.33; a 128-node random tree
+# 0.35 at 0.17 and 1.2 at 0.51; gen_tight(2) 0.24 at 0.027 (c = 9) and
+# 1.1 at 0.096; gen_tight(3) 0.17 at 0.020 (c = 9), 0.54 at 0.045 and
+# 1.4 at 0.16.  Every pool of every node took the sweep, 1.1 (the path,
+# at x = 0.17) to 12 times faster.  The crossover lies between x = 0.1
+# and 0.3; the constant puts it at 1/7.
 _SLAB_COST = 7
 
 # _pool_add updates the path betweenness in row blocks of at most this
@@ -132,10 +132,15 @@ def _pair_ids(g: Graph, pairs: list) -> tuple[np.ndarray, np.ndarray]:
     except ValueError:  # ragged records
         P = None
     if P is None or P.ndim != 2 or P.shape[1] != 2:
-        for s, t in pairs:
+        bad = ContractViolationError("essential pairs must be (source, target) id pairs")
+        for pair in pairs:
+            try:
+                s, t = pair
+            except (TypeError, ValueError):  # not a record of two
+                raise bad from None
             _check_node(g, s)
             _check_node(g, t)
-        raise ContractViolationError("essential pairs must be (source, target) id pairs")
+        raise bad
     ids = _node_ids(g, list(itertools.chain.from_iterable(pairs)))
     return ids[0::2], ids[1::2]
 
@@ -216,25 +221,17 @@ def _pb_sweeps(pc: PathCounts, c: int) -> bool:
 
 
 def _pb_slab(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
-    """_path_betweenness from n x n masks per pool node: G's pool rows in
-    O(c n^2) and PB in O(c^2 n), each in slabs held under 16M entries."""
+    """_path_betweenness from masks per pool node w, O(c n^2) in all:
+    G's row w from one n x n mask and PB's column w from one n x c mask,
+    each times a vector."""
     d, sigma = pc.dist, pc.sigma
-    n, c = pc.n, len(ids)
     inv = 1.0 / sigma
-    G = np.empty((c, n))
-    step = max(1, 16_000_000 // (n * n))
-    for lo in range(0, c, step):
-        ws = ids[lo : lo + step]
-        on = (d[:, ws].T[:, :, None] + d[ws][:, None, :]) == d
-        G[lo : lo + step] = np.einsum("jxy,jy->jx", np.where(on, inv, 0.0), sigma[ws])
     dx, sx = d[:, ids], sigma[:, ids]
-    PB = np.empty((c, c))
-    step = max(1, 16_000_000 // (n * max(1, c)))
-    for lo in range(0, c, step):
-        ws = ids[lo : lo + step]
-        # on[j, x, i]: ids[i] lies on a shortest x-ws[j] path
-        on = (dx[None, :, :] + d[np.ix_(ws, ids)][:, None, :]) == d[:, ws].T[:, :, None]
-        PB[:, lo : lo + step] = np.einsum("jxi,jx->ij", np.where(on, sx, 0.0), G[lo : lo + step])
+    PB = np.empty((len(ids), len(ids)))
+    for j, w in enumerate(ids.tolist()):
+        g = np.where(d[:, w, None] + d[w] == d, inv, 0.0) @ sigma[w]  # G[w, x]
+        # [ids[i] lies on a shortest x-w path] sigma(x, ids[i]), at (x, i)
+        PB[:, j] = g @ np.where(dx + d[w, ids] == d[:, w, None], sx, 0.0)
     return PB * sigma[np.ix_(ids, ids)]
 
 
@@ -362,22 +359,19 @@ class GbcOracle:
         a PB entry times the share of its avoiding paths that take the
         detour through the third node.  Rows are updated in blocks of
         at most _ADD_ENTRIES entries, so a large pool's temporaries stay
-        small; each later block reads row and column m as they were.
+        small; every block reads row and column m as they were before
+        the first.
         """
         S, PB, D = self.sigma_tilde, self._pb, self._pool.dist
         gain = float(PB[m, m]) - 1.0
         c = len(S)
         step = max(1, _ADD_ENTRIES // c)
-        Sm, Dm = S[:, m], D[:, m]
-        if step < c:
-            Sm = Sm.copy()
-            Rm, Rcol = _ratio(PB[m], S[m]), _ratio(PB[:, m], Sm)
+        Sm, Dm = S[:, m].copy(), D[:, m]
+        Rm, Rcol = _ratio(PB[m], S[m]), _ratio(PB[:, m], Sm)
         for lo in range(0, c, step):
             rows = slice(lo, lo + step)
             Sb, Db, Sr, Dr = S[rows], D[rows], Sm[rows, None], Dm[rows, None]
             R = _ratio(PB[rows], Sb)
-            if step >= c:
-                Rm, Rcol = R[m], R[:, m]
             via = Dr + Dm[None, :] == Db  # u, m, w
             lead = Dr + Db == Dm[None, :]  # m, u, w
             trail = Db + Dm[None, :] == Dr  # u, w, m

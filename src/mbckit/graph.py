@@ -45,8 +45,9 @@ distance is known, so it reads the eccentricity e0 of class 0, from one
 breadth-first order, in place of the largest class distance top.  As
 e0 <= top <= 2 * e0, that can only move a graph from the gather to the
 sparse sweep.  Both kernels sum integers below 2**53, so they agree bit
-for bit.  apsp refuses, with CapExceededError, counts that overflow,
-and n x n arrays over _BYTES_CAP bytes.
+for bit.  apsp refuses, with CapExceededError, class-space arrays over
+_BYTES_CAP bytes before it builds any, then counts that overflow, and
+n x n arrays over _BYTES_CAP bytes.
 """
 
 from __future__ import annotations
@@ -311,7 +312,8 @@ class PathCounts:
 
 
 # Refuse to build arrays that would need more than this many bytes:
-# the n x n arrays apsp keeps on a graph, and the tree DP's tables.
+# the q x q arrays of a graph's twin quotient, the n x n arrays apsp
+# keeps on it, and the tree DP's tables.
 _BYTES_CAP = 1 << 30
 
 
@@ -408,7 +410,14 @@ class _Quotient:
         while v:
             v, self.e0 = int(pred[v]), self.e0 + 1
         self._index = None
-        if self.gathers():
+        # refuse before the first q x q array: int64 dist and float64
+        # counts, and where the gather runs its index's order and nbrs
+        gathers = self.gathers()
+        _check_bytes(
+            (24 * q + 8 * self.degree if gathers else 16 * q) * q,
+            f"path counts over {q} twin classes of {g.n} nodes",
+        )
+        if gathers:
             dist = csgraph.shortest_path(self.adj, method="D", unweighted=True, directed=True)
             self.dist = dist.astype(np.int64)
             self.top = int(self.dist.max())
@@ -656,6 +665,15 @@ def _level_gather(
     return X
 
 
+def _check_bytes(need: int, what: str) -> None:
+    """Refuse, with CapExceededError, arrays of need bytes over _BYTES_CAP."""
+    if need > _BYTES_CAP:
+        raise CapExceededError(
+            f"{what} need about {need / 2**20:.0f} MiB, above the {_BYTES_CAP / 2**20:.0f} MiB cap",
+            need,
+        )
+
+
 def _quotient(g: Graph) -> _Quotient:
     if g._quotient is None:
         g._quotient = _Quotient(g)
@@ -672,10 +690,12 @@ def apsp(g: Graph) -> PathCounts:
     size.  Two true twins are at distance 1 with sigma 1, two false
     twins at distance 2 with sigma their degree.  The counts are
     integers, exact in doubles below 2**53, so they equal a sweep over
-    the whole graph bit for bit.  A count that overflows raises
-    CapExceededError before any n x n array is built, and so does a
-    graph whose n x n dist and sigma, with the level index, would need
-    more than _BYTES_CAP bytes.  Computed once per graph: g keeps the
+    the whole graph bit for bit.  A graph whose class-space arrays
+    would need more than _BYTES_CAP bytes raises CapExceededError
+    before any of them is built.  A count that overflows raises it
+    before any n x n array is built, and so does a graph whose n x n
+    dist and sigma, with the level index, would need more than
+    _BYTES_CAP bytes.  Computed once per graph: g keeps the
     bare read-only arrays, not this PathCounts, which points back at g."""
     if g._counts is None:
         qt = _quotient(g)
@@ -688,13 +708,8 @@ def apsp(g: Graph) -> PathCounts:
                 float("inf"),
             )
         index = 0 if qt._index is None else sum(a.nbytes for a in qt._index)
-        need = 16 * g.n * g.n + index  # int64 dist and float64 sigma
-        if need > _BYTES_CAP:
-            raise CapExceededError(
-                f"path counts of {g.n} nodes need about {need / 2**20:.0f} MiB, "
-                f"above the {_BYTES_CAP / 2**20:.0f} MiB cap",
-                need,
-            )
+        # int64 dist and float64 sigma
+        _check_bytes(16 * g.n * g.n + index, f"path counts of {g.n} nodes")
         sigma = qt.expand(counts, 1.0)
         dist = qt.dist if qt.identity else qt.expand(qt.dist + np.diag(qt.within), 0)
         dist.setflags(write=False)

@@ -46,7 +46,6 @@ _TABLE_BYTES_CAP bytes (_table_bytes).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,65 +131,48 @@ def binarize(rt: RootedTree) -> RootedTree:
     come back structurally unchanged.
     """
     out: list[TreeNode] = []
-    limit = max(sys.getrecursionlimit(), 4 * len(rt.nodes) + 100)
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
-    try:
-        new_root = _binarize_subtree(rt, out, rt.root, None)
-    finally:
-        sys.setrecursionlimit(old)
-    return RootedTree(nodes=out, root=new_root, graph=rt.graph)
-
-
-# binarize's recursion is module-level, not a closure that calls itself:
-# such a closure is a reference cycle that would keep rt, and with it
-# the graph's n x n path counts, alive until the cyclic collector runs.
-def _clone(out: list[TreeNode], src: TreeNode, parent: int | None) -> int:
-    node = TreeNode(
-        idx=len(out),
-        graph_node=src.graph_node,
-        parent=parent,
-        cost=src.cost,
-        subtree_size=src.subtree_size,
-    )
-    out.append(node)
-    return node.idx
-
-
-def _binarize_subtree(
-    rt: RootedTree, out: list[TreeNode], src_idx: int, parent: int | None
-) -> int:
-    """Append the binarized subtree of rt.nodes[src_idx] to out, below
-    parent, and return the index of its top."""
-    src = rt.nodes[src_idx]
-    kids = src.children
-    if len(kids) <= 2:
-        me = _clone(out, src, parent)
-        for c in kids:
-            out[me].children.append(_binarize_subtree(rt, out, c, me))
-        return me
-    sizes = [rt.nodes[c].subtree_size for c in kids]
-    gates: list[int] = []
-    for i in range(len(kids) - 1):
-        tail = i == len(kids) - 2
-        gate = TreeNode(
-            idx=len(out),
-            graph_node=None,
-            parent=parent if i == 0 else gates[-1],
-            cost=src.cost if tail else 0.0,
-            subtree_size=1 + sum(sizes[i:]),
-            chain_group=src.graph_node,
-            chain_tail=tail,
-        )
-        out.append(gate)
-        gates.append(gate.idx)
-    for i, gidx in enumerate(gates):
-        out[gidx].children.append(_binarize_subtree(rt, out, kids[i], gidx))
-        if i < len(gates) - 1:
-            out[gidx].children.append(gates[i + 1])
+    # (source node, parent in out, slot in the parent's children), popped
+    # in depth-first order, so each subtree is numbered as it is entered
+    stack: list[tuple[int, int | None, int]] = [(rt.root, None, 0)]
+    while stack:
+        src_idx, parent, slot = stack.pop()
+        src = rt.nodes[src_idx]
+        kids = src.children
+        if len(kids) <= 2:
+            top = len(out)
+            out.append(
+                TreeNode(
+                    idx=top,
+                    graph_node=src.graph_node,
+                    parent=parent,
+                    children=[-1] * len(kids),
+                    cost=src.cost,
+                    subtree_size=src.subtree_size,
+                )
+            )
+            below = [(c, top, i) for i, c in enumerate(kids)]
         else:
-            out[gidx].children.append(_binarize_subtree(rt, out, kids[-1], gidx))
-    return gates[0]
+            # gate i adopts kids[i] and gate i + 1; the last gate the last two kids
+            top, last = len(out), len(out) + len(kids) - 2
+            sizes = [rt.nodes[c].subtree_size for c in kids]
+            for i, gidx in enumerate(range(top, last + 1)):
+                out.append(
+                    TreeNode(
+                        idx=gidx,
+                        graph_node=None,
+                        parent=parent if i == 0 else gidx - 1,
+                        children=[-1, -1 if gidx == last else gidx + 1],
+                        cost=src.cost if gidx == last else 0.0,
+                        subtree_size=1 + sum(sizes[i:]),
+                        chain_group=src.graph_node,
+                        chain_tail=gidx == last,
+                    )
+                )
+            below = [(c, top + i, 0) for i, c in enumerate(kids[:-1])] + [(kids[-1], last, 1)]
+        if parent is not None:
+            out[parent].children[slot] = top
+        stack.extend(reversed(below))
+    return RootedTree(nodes=out, root=0, graph=rt.graph)
 
 
 def _kind(node: TreeNode) -> str:

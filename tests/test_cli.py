@@ -185,6 +185,22 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["nodes"] == ["b"]
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_nonfinite_budget(self, capsys, c4_file, budget):
+        code, out, err = run(capsys, "solve", "-g", c4_file, "--budget", budget, "--algo", "exact")
+        assert code == 3
+        assert out == ""
+        assert "budget must be finite and nonnegative" in err
+
+    @pytest.mark.parametrize("costs", [[1, 2], "a", 3])
+    def test_json_costs_not_an_object(self, capsys, tmp_path, costs):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"edges": [["a", "b"], ["b", "c"]], "costs": costs}))
+        code, out, err = run(capsys, "solve", "-g", str(path), "--budget", "1", "--algo", "exact")
+        assert code == 3
+        assert out == ""
+        assert "'costs' must be an object" in err
+
 
 class TestGenCommand:
     def test_tight_writes_instance_and_meta(self, capsys, tmp_path):

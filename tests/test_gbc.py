@@ -8,6 +8,7 @@ import pytest
 
 import mbckit.gbc as gbc_mod
 from mbckit import (
+    ConsistencyError,
     ContractViolationError,
     CostedInstance,
     GbcOracle,
@@ -282,6 +283,24 @@ class TestOracle:
             assert abs(oracle.base_value - gbc_direct(pc, chosen)) <= tol
 
 
+class TestClamp:
+    """add() zeroes float dust in the avoiding counts and refuses more."""
+
+    def test_negative_counts_beyond_tolerance_raise(self):
+        oracle = GbcOracle(apsp(path(6)))
+        oracle.sigma_tilde[0, 4] = oracle.sigma_tilde[4, 0] = 0.0
+        with pytest.raises(ConsistencyError, match="beyond tolerance"):
+            oracle.add(2)
+
+    def test_dust_below_tolerance_is_zeroed(self):
+        oracle = GbcOracle(apsp(path(6)))
+        dust = gbc_mod._CLAMP_REL / 10
+        oracle.sigma_tilde[0, 4] = oracle.sigma_tilde[4, 0] = 1.0 - dust
+        oracle.add(2)  # 0-4's one path meets 2: its count goes to -dust
+        assert oracle.sigma_tilde[0, 4] == oracle.sigma_tilde[4, 0] == 0.0
+        assert oracle.sigma_tilde.min() == 0.0 and oracle._pb.min() >= 0.0
+
+
 class TestPoolOracle:
     """GbcOracle(pc, pool): the c x c candidate-space representation."""
 
@@ -481,6 +500,13 @@ class TestGbcModified:
         for bad in ([(0.7, 2)], [(True, 3)], [(0, 2.9)]):
             with pytest.raises(ContractViolationError):
                 gbc_modified(pc, bad, [1])
+        # records that are not pairs, ragged or flat
+        for bad in ([(0, 1, 2)], [(0, 1), (2,)], [0, 1]):
+            with pytest.raises(ContractViolationError, match="id pairs"):
+                gbc_modified(pc, bad, [1])
+        # well-formed but ragged pairs still name their first bad id
+        with pytest.raises(ContractViolationError, match="node id 9"):
+            gbc_modified(pc, [(0, 1), (9, (1, 2))], [1])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_enumeration(self, seed):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 import weakref
 from collections import deque
 from types import SimpleNamespace
@@ -25,6 +26,7 @@ from mbckit import (
 from mbckit.generators import gen_random_tree
 from mbckit.tree import DpTable
 
+from binarize_reference import binarize_recursive
 from conftest import make_instance
 
 
@@ -122,6 +124,23 @@ class TestRooting:
             assert bt.nodes[gidx].cost == 0.0
         # gate i spans the owner plus children i..end
         assert [bt.nodes[i].subtree_size for i in gates] == [5, 4, 3]
+
+    @pytest.mark.parametrize(
+        "make", [lambda: path_graph(20_000), lambda: gen_random_tree(2000, 1)], ids=["path", "random"]
+    )
+    def test_binarize_matches_recursion_without_the_limit(self, make, monkeypatch):
+        g = make()
+        rt = root_tree(g, np.arange(g.n, dtype=np.float64))
+        want = binarize_recursive(rt)
+
+        def refuse(limit):
+            raise AssertionError("binarize changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        got = binarize(rt)
+        assert got.root == want.root and len(got.nodes) == len(want.nodes)
+        for a, b in zip(got.nodes, want.nodes):
+            assert a == b  # parent, children, cost, chain gate and subtree size
 
 
 class TestTableInvariants:

@@ -11,6 +11,7 @@ level-indexed gather, so the bit-identity tests run again under each.
 
 import itertools
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -488,10 +489,31 @@ class TestDenseGuard:
         monkeypatch.setattr(graph_mod, "_BYTES_CAP", 16 * g.n * g.n + 1000)
         with pytest.raises(CapExceededError, match="cap"):
             apsp(g)
-        assert _quotient(g)._index is not None and g._counts is None
+        assert g._quotient is None and g._counts is None  # nothing was built
         h = gen_random(120, 14 / 119, seed=0)  # sparse sweep: no index
         monkeypatch.setattr(graph_mod, "_BYTES_CAP", 16 * h.n * h.n)
         assert apsp(h).sigma.shape == (h.n, h.n)
+
+    @pytest.mark.parametrize(
+        "make, gathers",
+        [(lambda: grid(40, 40), True), (lambda: gen_random(1500, 0.01, seed=0), False)],
+        ids=["grid-gather", "random-sparse"],
+    )
+    def test_refuses_before_any_class_array(self, monkeypatch, make, gathers):
+        g = make()
+        monkeypatch.setattr(graph_mod, "_BYTES_CAP", 16 * g.n * g.n - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="cap"):
+                apsp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g._quotient is None and g._counts is None
+        monkeypatch.undo()
+        qt = _quotient(g)
+        assert qt.gathers() is gathers
+        assert peak < 8 * qt.q * qt.q  # below one q x q float64 array
 
     def test_gbc_command_exits_three(self, capsys, tmp_path, monkeypatch):
         g = path(30)
