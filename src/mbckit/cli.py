@@ -215,16 +215,18 @@ def _verify_oracle(inst: CostedInstance, rng: random.Random) -> None:
     for _ in range(20):
         size = rng.randrange(1, g.n + 1)
         seq = rng.sample(range(g.n), size)
-        oracle = GbcOracle(pc)
+        oracles = GbcOracle(pc), GbcOracle(pc, seq)  # every node, and the sequence's pool
         chosen: list[int] = []
+        after = 0.0  # gbc_direct of the empty group
         for v in seq:
-            before = gbc_direct(pc, chosen)
-            gain = oracle.gain(v)
+            before = after
             chosen.append(v)
             after = gbc_direct(pc, chosen)
-            oracle.add(v)
-            if abs(gain - (after - before)) > tol or abs(oracle.base_value - after) > tol:
-                raise ConsistencyError(f"oracle drifted on sequence {seq}")
+            for oracle in oracles:
+                gain = oracle.gain(v)
+                oracle.add(v)
+                if abs(gain - (after - before)) > tol or abs(oracle.base_value - after) > tol:
+                    raise ConsistencyError(f"oracle drifted on sequence {seq}")
 
 
 def _verify_tree(inst: CostedInstance, rng: random.Random) -> None:

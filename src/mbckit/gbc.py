@@ -22,13 +22,14 @@ the gather's come from scipy's Dijkstra.
 
 The incremental oracle, GbcOracle, is the candidate-space oracle of
 Puzis, Elovici and Dolev (Phys. Rev. E 76, 2007) over a pool of c
-nodes, every node unless its caller names a pool.  It keeps two c x c
-matrices, the member-avoiding counts and the pairwise path
-betweenness, so a gain is a diagonal read and an addition costs
-O(c^2).  The path betweenness is built once, from n x n masks per pool
-node for small pools, and for large ones from two reverse level sweeps
-(Brandes' dependency accumulation) over the whole graph, which stay on
-the sparse product; _SLAB_COST holds the rule and its measurement.
+nodes, every node unless its caller names a pool.  It keeps the
+diagonal of the path betweenness, which a gain reads, and the members'
+columns, which an addition replays, O(k c) for k members.  The empty
+group's diagonal comes from n x n masks per pool node for small pools,
+which give the columns too, and for large ones from one reverse level
+sweep (Brandes' dependency accumulation) over the whole graph, which
+stays on the sparse product, with each column built from the masks on
+first use; _SLAB_COST holds the rule and its measurement.
 Nothing here ever enumerates paths.
 """
 
@@ -40,7 +41,7 @@ import itertools
 import numpy as np
 
 from .errors import ConsistencyError, ContractViolationError
-from .graph import Graph, PathCounts, _check_node, _level_sweep, _quotient
+from .graph import Graph, PathCounts, _check_bytes, _check_node, _level_sweep, _quotient
 
 __all__ = [
     "gbc_direct",
@@ -52,27 +53,20 @@ __all__ = [
 # Relative slack for clamping float dust in the avoiding-path bookkeeping.
 _CLAMP_REL = 1e-6
 
-# _path_betweenness runs the slab when _SLAB_COST * c * n^2 < levels *
-# (nnz + n) * (n + c), and the two reverse sweeps otherwise; c is the
-# pool size, nnz the graph's and levels one more than apsp's largest
-# class distance.  The sides are the slab's n x n mask entries and the
-# sweeps' per-level products over n + c columns.  Slab over sweep time,
-# best of 5 with one BLAS thread on a 2-core x86-64 machine, random pools
-# at x = c n^2 / (levels (nnz + n) (n + c)): gen_random(120, 14/119)
-# 0.76 at x = 0.14 (c = 9) and 2.5 at 0.40 (c = 30); gen_random(300,
-# 8/299) 0.37 at 0.15 and 0.70 at 0.30; a 200-node path 0.45 at 0.11;
-# a 15x15 grid 0.30 at 0.10 and 1.1 at 0.33; a 128-node random tree
-# 0.35 at 0.17 and 1.2 at 0.51; gen_tight(2) 0.24 at 0.027 (c = 9) and
-# 1.1 at 0.096; gen_tight(3) 0.17 at 0.020 (c = 9), 0.54 at 0.045 and
-# 1.4 at 0.16.  Every pool of every node took the sweep, 1.1 (the path,
-# at x = 0.17) to 12 times faster.  The crossover lies between x = 0.1
-# and 0.3; the constant puts it at 1/7.
+# A pool of c nodes takes its diagonal from _diag_slab when _SLAB_COST *
+# c * n < levels * (nnz + n), and from _diag_sweep otherwise; nnz is the
+# graph's and levels one more than apsp's largest class distance.  The
+# sides are the slab's c n x n masks and the sweep's per-level products
+# over n columns.  Slab over sweep time, best of 3 with one BLAS thread on
+# a 2-core x86-64 machine, random pools at x = c n / (levels (nnz + n)):
+# gen_random(120, 14/119) 0.90 at x = 0.15 (c = 9) and 3.6 at 0.50 (c =
+# 30); gen_random(300, 8/299) 0.34 at 0.16 and 1.3 at 0.54; a 200-node
+# path 0.18 at 0.05 and 0.40 at 0.10; a 15x15 grid 0.68 at 0.22 and 1.6
+# at 0.44; a 128-node random tree 0.40 at 0.15 and 1.7 at 0.50;
+# gen_tight(2) 0.26 at 0.028 (c = 9) and 1.0 at 0.095; gen_tight(3) 0.16
+# at 0.021 (c = 9), 0.66 at 0.069 and 1.7 at 0.14.  The crossover lies
+# between x = 0.09 and 0.4; the constant puts it at 1/7.
 _SLAB_COST = 7
-
-# _pool_add updates the path betweenness in row blocks of at most this
-# many entries, so a large pool's temporaries stay near 8 MB each; a
-# pool of up to 1024 nodes takes one block.
-_ADD_ENTRIES = 1 << 20
 
 
 def _node_ids(g: Graph, nodes: list) -> np.ndarray:
@@ -164,19 +158,24 @@ def gbc_modified(pc: PathCounts, essential_pairs, group) -> float:
 
 
 class _Pool:
-    """The candidate space of an oracle, read-only and shared by copies.
+    """The candidate space of an oracle and its empty-group data,
+    read-only and shared by copies.
 
-    The pool nodes are sorted, and at[v] is node v's position among
-    them, or -1 outside the pool.  dist, sigma and pb are c x c over the
-    pool: hop distances, path counts and the path betweenness of the
-    empty group.  A pool of every node shares apsp's dist and sigma.
+    ids are the sorted pool nodes, and at[v] is node v's position among
+    them, or -1 outside the pool.  dist and sigma are c x c over the
+    pool, apsp's own for a pool of every node.  diag is the diagonal of
+    the empty group's path betweenness, and column(m) its column m:
+    _diag_slab gives every column with the diagonal, and on a pool that
+    took _diag_sweep each is computed on first use, into a store that
+    copies share.
     """
 
-    __slots__ = ("at", "dist", "sigma", "pb")
+    __slots__ = ("pc", "ids", "at", "dist", "sigma", "diag", "_columns")
 
     def __init__(self, pc: PathCounts, pool):
         n = pc.n
         ids = np.unique(_node_ids(pc.graph, list(range(n) if pool is None else pool)))
+        self.pc, self.ids = pc, ids
         self.at = np.full(n, -1, dtype=np.int64)
         self.at[ids] = np.arange(len(ids))
         if len(ids) == n:
@@ -184,8 +183,12 @@ class _Pool:
         else:
             grid = np.ix_(ids, ids)
             self.dist, self.sigma = pc.dist[grid], pc.sigma[grid]
-        self.pb = _path_betweenness(pc, ids)
-        for a in (self.at, self.dist, self.sigma, self.pb):
+        if _pb_sweeps(pc, len(ids)):
+            self.diag, self._columns = _diag_sweep(pc, ids), {}
+        else:
+            columns = _diag_slab(pc, ids)
+            self.diag, self._columns = np.diagonal(columns).copy(), dict(enumerate(columns))
+        for a in (self.ids, self.at, self.dist, self.sigma, self.diag, *self._columns.values()):
             a.setflags(write=False)
 
     def positions(self, ids: np.ndarray) -> np.ndarray:
@@ -195,9 +198,26 @@ class _Pool:
             raise ContractViolationError(f"node {ids[at < 0][0]} is not in the pool")
         return at
 
+    def column(self, m: int) -> np.ndarray:
+        """The empty group's path betweenness PB[:, m] over the pool."""
+        col = self._columns.get(m)
+        if col is None:
+            col = _pb_column(self.pc, self.ids, int(self.ids[m]))
+            col.setflags(write=False)
+            self._columns[m] = col
+        return col
 
-def _path_betweenness(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
-    """PB[i, j] for the pool nodes u = ids[i] and w = ids[j].
+
+def _pb_sweeps(pc: PathCounts, c: int) -> bool:
+    """Whether a pool of c nodes takes its diagonal from _diag_sweep, not
+    _diag_slab, by the rule that _SLAB_COST's comment states."""
+    n, nnz = pc.n, pc.graph.csr().nnz
+    levels = _quotient(pc.graph).top + 1
+    return _SLAB_COST * c * n >= levels * (nnz + n)
+
+
+def _pb_column(pc: PathCounts, ids: np.ndarray, w: int) -> np.ndarray:
+    """The empty group's path betweenness PB[u, w] at the pool nodes u.
 
     PB[u, w] is the sum of sigma(x, u) sigma(u, w) sigma(w, y) / sigma(x, y)
     over the ordered pairs (x, y) with d(x, u) + d(u, w) + d(w, y) = d(x, y):
@@ -205,58 +225,40 @@ def _path_betweenness(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
     condition says u lies on a shortest x-w path and w on a shortest x-y
     path, so PB[u, w] = sigma(u, w) * sum_x [u on a shortest x-w path]
     sigma(x, u) G[w, x], where G[w, x] = sum_y [w on a shortest x-y path]
-    sigma(w, y) / sigma(x, y).  _pb_slab and _pb_sweep compute it, as
-    _pb_sweeps chooses.
+    sigma(w, y) / sigma(x, y).  PB is symmetric, as reversing a path
+    swaps the order of u and w, and PB[w, w] = sum_x G[w, x] sigma(x, w)
+    is w's value plus the 1 of the pair (w, w).
+
+    O(n (n + c)): G's row w from one n x n mask and the column from one
+    n x c mask, each times a vector.  _check_bytes refuses temporaries
+    of about 17 n (n + c) bytes over the cap before any is built.
     """
-    return (_pb_sweep if _pb_sweeps(pc, len(ids)) else _pb_slab)(pc, ids)
-
-
-def _pb_sweeps(pc: PathCounts, c: int) -> bool:
-    """Whether _path_betweenness over c pool nodes runs _pb_sweep (see
-    _SLAB_COST); levels is one more than the largest class distance
-    that apsp found."""
-    n, nnz = pc.n, pc.graph.csr().nnz
-    levels = _quotient(pc.graph).top + 1
-    return _SLAB_COST * c * n * n >= levels * (nnz + n) * (n + c)
-
-
-def _pb_slab(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
-    """_path_betweenness from masks per pool node w, O(c n^2) in all:
-    G's row w from one n x n mask and PB's column w from one n x c mask,
-    each times a vector."""
     d, sigma = pc.dist, pc.sigma
-    inv = 1.0 / sigma
-    dx, sx = d[:, ids], sigma[:, ids]
-    PB = np.empty((len(ids), len(ids)))
-    for j, w in enumerate(ids.tolist()):
-        g = np.where(d[:, w, None] + d[w] == d, inv, 0.0) @ sigma[w]  # G[w, x]
-        # [ids[i] lies on a shortest x-w path] sigma(x, ids[i]), at (x, i)
-        PB[:, j] = g @ np.where(dx + d[w, ids] == d[:, w, None], sx, 0.0)
-    return PB * sigma[np.ix_(ids, ids)]
+    n, c = pc.n, len(ids)
+    _check_bytes(17 * n * (n + c), f"a path-betweenness column over {n} nodes")
+    dx, sx = (d, sigma) if c == n else (d[:, ids], sigma[:, ids])
+    g = ((d[:, w, None] + d[w] == d) / sigma) @ sigma[w]  # G[w, x]
+    # [ids[i] lies on a shortest x-w path] sigma(x, ids[i]), at (x, i)
+    return (g @ np.where(dx + d[w, ids] == d[:, w, None], sx, 0.0)) * sigma[ids, w]
 
 
-def _pb_sweep(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
-    """_path_betweenness from two reverse level sweeps, O(levels (nnz + n)
-    (n + c)).
+def _diag_slab(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
+    """The empty group's path betweenness over the pool, row j its column j."""
+    return np.stack([_pb_column(pc, ids, w) for w in ids.tolist()])
 
-    The first sweep runs over all n columns, column x rooted at x and
-    seeded with 1 / sigma(x, y) at each y.  Entry w then sums the seeds
-    of the y below w, each times the sigma(w, y) paths down to it, which
-    is G[w, x] (Brandes' dependency accumulation).  Column j of PB is
-    sigma(u, w_j) H[u, j], where H[u, j] = sum_x [u on a shortest x-w_j
-    path] sigma(x, u) G[w_j, x]: the second sweep, over the c pool
-    columns, column j rooted at w_j and seeded with G[w_j, x] at x.
-    """
-    A, dist, sigma = pc.graph.csr(), pc.dist, pc.sigma
-    G = _level_sweep(A, dist, 1.0 / sigma, reverse=True)
-    every = len(ids) == pc.n  # then PB is H * sigma, formed in place
-    H = np.ascontiguousarray((G if every else G[ids]).T)
-    del G
-    _level_sweep(A, dist if every else dist[:, ids], H, reverse=True)
-    if every:
-        H *= sigma
-        return H
-    return H[ids] * sigma[np.ix_(ids, ids)]
+
+def _diag_sweep(pc: PathCounts, ids: np.ndarray) -> np.ndarray:
+    """The diagonal of the empty group's path betweenness over the pool
+    from one reverse level sweep, O(levels (nnz + n) n): column x, rooted
+    at x and seeded with 1 / sigma(x, y) at each y, sums at w the seeds
+    below w times the sigma(w, y) paths down to them, which is G[w, x]
+    (Brandes' dependency accumulation), and PB[w, w] = sum_x G[w, x]
+    sigma(x, w)."""
+    sigma = pc.sigma
+    G = _level_sweep(pc.graph.csr(), pc.dist, 1.0 / sigma, reverse=True)
+    if len(ids) < pc.n:
+        G, sigma = G[ids], sigma[ids]
+    return np.einsum("ij,ij->i", G, sigma)
 
 
 def _clamp(T: np.ndarray, ref: np.ndarray) -> None:
@@ -270,7 +272,7 @@ def _clamp(T: np.ndarray, ref: np.ndarray) -> None:
 
 def _ratio(P: np.ndarray, S: np.ndarray) -> np.ndarray:
     """P / S, and zero where S is zero."""
-    return np.divide(P, S, out=np.zeros_like(P), where=S > 0.0)
+    return np.divide(P, S, out=np.zeros(P.shape), where=S > 0.0)
 
 
 class GbcOracle:
@@ -280,41 +282,42 @@ class GbcOracle:
     Rev. E 76, 2007), over a pool of c nodes: GbcOracle(pc) pools every
     node, as greedy_unit and greedy_ratio need, and GbcOracle(pc, pool)
     only the given ones, as the subset walk of solve_exact and
-    greedy_modified needs.  It prices and adds pool nodes only, and
-    keeps two c x c matrices over the sorted pool.  sigma_tilde[x, y]
-    counts the shortest x-y paths that avoid every member; its diagonal
-    entry stays 1 until the node itself joins (the zero-length path at
-    w contains w), which makes the update product formula uniform for
-    endpoint pairs.  _pb[u, w] is the member-avoiding path betweenness,
-    the pairs' fraction of shortest paths that meet u and then w and
-    avoid every member (see _path_betweenness).  _pb is built once, in
-    O(c n^2) for small pools and O(levels (nnz + n) (n + c)) for large
-    ones; then a gain is the diagonal read _pb[v, v] - 1, and add() and
-    copy() cost O(c^2).
+    greedy_modified needs.  It prices and adds pool nodes only.
+
+    Their update keeps sigma_tilde, the shortest-path counts that avoid
+    every member, and PB, the member-avoiding path betweenness (see
+    _pb_column), as c x c matrices.  A gain reads only the diagonal,
+    PB[v, v] - 1, and adding m lowers each PB[u, u] by 2 PB[u, m].  So
+    the oracle keeps the diagonal, 1 at a member, and per member the
+    columns of sigma_tilde and PB it read when it joined; add() rebuilds
+    the new member's columns from those (_replay) in O(k c) for k
+    members.  copy() copies the diagonal and shares the stored columns,
+    which add() replaces and never writes.
 
     add() is the only mutator.  gain() and gains() only read, so
     concurrent readers of one oracle are safe; an add() needs exclusive
     access.
     """
 
-    __slots__ = ("pc", "_members", "sigma_tilde", "base_value", "_pool", "_pb")
+    __slots__ = ("pc", "base_value", "_pool", "_diag", "_members", "_counts", "_ratios")
 
     def __init__(self, pc: PathCounts, pool=None):
         self.pc = pc
-        self._members: set[int] = set()
         self.base_value = 0.0
         self._pool = _Pool(pc, pool)
-        self.sigma_tilde = self._pool.sigma.copy()
-        self._pb = self._pool.pb.copy()
+        self._diag = self._pool.diag.copy()
+        self._members: tuple[int, ...] = ()  # pool positions, in join order
+        # per member m, sigma_tilde[:, m] and PB[:, m] / sigma_tilde[:, m] as m joined
+        self._counts = self._ratios = np.empty((0, len(self._diag)))
 
     def copy(self) -> "GbcOracle":
         dup = object.__new__(GbcOracle)
         dup.pc = self.pc
-        dup._members = set(self._members)
-        dup.sigma_tilde = self.sigma_tilde.copy()
         dup.base_value = self.base_value
         dup._pool = self._pool
-        dup._pb = self._pb.copy()
+        dup._diag = self._diag.copy()
+        dup._members = self._members
+        dup._counts, dup._ratios = self._counts, self._ratios
         return dup
 
     @property
@@ -323,7 +326,7 @@ class GbcOracle:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(sorted(self._members))
+        return tuple(sorted(self._pool.ids[list(self._members)].tolist()))
 
     def gain(self, v: int) -> float:
         """GBC(members + v) - GBC(members); zero for an existing member."""
@@ -331,62 +334,56 @@ class GbcOracle:
 
     def gains(self, candidates) -> np.ndarray:
         """gain() of every candidate, in order; members score 0."""
-        cands = list(candidates)
-        at = self._pool.positions(_node_ids(self.pc.graph, cands))
-        out = self._pb[at, at] - 1.0
-        if self._members:
-            out[[i for i, v in enumerate(cands) if v in self._members]] = 0.0
-        return out
+        at = self._pool.positions(_node_ids(self.pc.graph, list(candidates)))
+        return self._diag[at] - 1.0
 
     def add(self, v: int) -> float:
-        """Insert v, update the avoiding counts, and return the gain."""
+        """Insert v, update the diagonal, and return the gain."""
         _check_node(self.pc.graph, v)
         m = int(self._pool.at[v])
         if m < 0:
             raise ContractViolationError(f"node {v} is not in the pool")
-        if v in self._members:
+        if m in self._members:
             raise ContractViolationError(f"node {v} is already a member")
-        gain = self._pool_add(m)
-        self._members.add(v)
+        counts, pb = self._replay(m)
+        gain = float(self._diag[m]) - 1.0
+        self._diag -= 2.0 * pb
+        self._diag[m] = 1.0
+        self._members += (m,)
+        self._counts = np.concatenate((self._counts, counts[None]))
+        self._ratios = np.concatenate((self._ratios, _ratio(pb, counts)[None]))
         self.base_value += gain
         return gain
 
-    def _pool_add(self, m: int) -> float:
-        """add() of the pool node at position m; returns its gain.
+    def _replay(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Columns m of sigma_tilde and PB at the current members.
 
-        The paths that meet u and then w lose those that also meet m,
-        before u, between them or after w.  Each of the three counts is
-        a PB entry times the share of its avoiding paths that take the
-        detour through the third node.  Rows are updated in blocks of
-        at most _ADD_ENTRIES entries, so a large pool's temporaries stay
-        small; every block reads row and column m as they were before
-        the first.
+        Adding member j at position m_j takes from each count
+        sigma_tilde[u, m] the paths through m_j, and from PB[u, m] those
+        that meet m_j before u (lead), after m (trail) or between them,
+        the last in the count's share.  So PB / s, for s_j the counts
+        before step j, falls by (s_j / s_(j+1)) (lead + trail), and one
+        cumulative sum gives every s_j.  Step j reads m_j's columns at u
+        and at m, as both matrices are symmetric.  Members' rows are 0.
         """
-        S, PB, D = self.sigma_tilde, self._pb, self._pool.dist
-        gain = float(PB[m, m]) - 1.0
-        c = len(S)
-        step = max(1, _ADD_ENTRIES // c)
-        Sm, Dm = S[:, m].copy(), D[:, m]
-        Rm, Rcol = _ratio(PB[m], S[m]), _ratio(PB[:, m], Sm)
-        for lo in range(0, c, step):
-            rows = slice(lo, lo + step)
-            Sb, Db, Sr, Dr = S[rows], D[rows], Sm[rows, None], Dm[rows, None]
-            R = _ratio(PB[rows], Sb)
-            via = Dr + Dm[None, :] == Db  # u, m, w
-            lead = Dr + Db == Dm[None, :]  # m, u, w
-            trail = Db + Dm[None, :] == Dr  # u, w, m
-            through = np.where(via, Sr * Sm[None, :], 0.0)
-            PB[rows] -= (
-                R * through
-                + np.where(lead, Rm[None, :] * Sr * Sb, 0.0)
-                + np.where(trail, Rcol[rows, None] * Sb * Sm[None, :], 0.0)
-            )
-            Sb -= through
-        PB[m, :] = 0.0
-        PB[:, m] = 0.0
-        _clamp(S, self._pool.sigma)
-        _clamp(PB, self._pool.pb)
-        return gain
+        pool, members = self._pool, list(self._members)
+        s0, pb0 = pool.sigma[m], pool.column(m)
+        if not members:
+            return s0, pb0
+        A, R = self._counts, self._ratios  # at (j, u)
+        D, dm = pool.dist[members], pool.dist[m]
+        a, r, d = A[:, m, None], R[:, m, None], D[:, m, None]  # at (j, m)
+        through = np.where(D + d == dm, A * a, 0.0)  # u, m_j, m
+        after = s0 - np.cumsum(through, axis=0)
+        lead = np.where(D + dm == d, r * A, 0.0)  # m_j, u, m
+        trail = np.where(dm + d == D, R * a, 0.0)  # u, m, m_j
+        steps = _ratio(np.concatenate((s0[None], after[:-1])), after) * (lead + trail)
+        counts = after[-1]
+        _clamp(counts, s0)
+        pb = (pb0 / s0 - steps.sum(axis=0)) * counts
+        _clamp(pb, pb0)
+        counts[members] = pb[members] = 0.0
+        return counts, pb
 
 
 def brandes_bc(g: Graph) -> np.ndarray:

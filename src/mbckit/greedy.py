@@ -20,10 +20,10 @@ the budget when _fits says so, within the audit's slack.
 
 Tie-breaking is everywhere by smallest node id, and between outcomes
 by smallest seed or set.  Ties are detected within _tie_tol: the
-coverage bridge, the direct evaluators and the oracle's two
-path-betweenness kernels compute the same rational values along
-different float paths, and exact comparison would let last-bit noise
-pick different winners.
+coverage bridge, the direct evaluators and the oracle's slab columns
+and sweep diagonal compute the same rational values along different
+float paths, and exact comparison would let last-bit noise pick
+different winners.
 """
 
 from __future__ import annotations

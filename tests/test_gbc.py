@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import mbckit.gbc as gbc_mod
+import mbckit.graph as graph_mod
 from mbckit import (
+    CapExceededError,
     ConsistencyError,
     ContractViolationError,
     CostedInstance,
@@ -80,6 +82,27 @@ class TestBrandes:
         tol = 1e-9 * g.n * g.n
         for v in range(g.n):
             assert abs(gbc_direct(pc, [v]) - (bc[v] + 2 * (g.n - 1))) <= tol
+
+
+def _tight_whitelist():
+    g, meta = gen_tight(3)
+    return g, g.ids(meta.whitelist)
+
+
+# Deep replays: every node joins, on high-diameter and twin-heavy graphs,
+# where members' stored columns go to zero.
+_DEEP = {
+    "path-40": lambda: path(40),
+    "grid-6x7": lambda: grid(6, 7),
+    "tight-3": lambda: gen_tight(3)[0],
+    "apx": lambda: gen_apx(gen_random(6, 0.5, seed=4), k=2, l=3)[0],
+}
+_DEEP_POOLS = {
+    "path-40": lambda: (path(40), list(range(40))),
+    "grid-6x7": lambda: (grid(6, 7), list(range(42))),
+    "tight-3-whitelist": _tight_whitelist,
+    "apx": lambda: (_DEEP["apx"](), list(range(28))),
+}
 
 
 class TestOracle:
@@ -163,12 +186,12 @@ class TestOracle:
 
     @pytest.mark.parametrize("case", range(6))
     def test_sweep_agrees_with_direct(self, case, monkeypatch):
-        # every node's pool is large enough to take the two reverse sweeps
+        # every node's pool is large enough to take the reverse sweep
         calls = pb_kernel_calls(monkeypatch)
         g = _kernel_graphs()[case]
         pc = apsp(g)
         oracle = GbcOracle(pc)
-        assert calls == ["_pb_sweep"]
+        assert calls == ["_diag_sweep"]
         chosen = random.Random(case).sample(range(g.n), 3)
         for v in chosen:
             oracle.add(v)
@@ -186,6 +209,23 @@ class TestOracle:
             assert got.tolist() == every[part].tolist()
             assert np.abs(got - np.take(want, part)).max() <= 1e-9 * scale
             lo += len(part)
+
+    def test_oversized_column_is_refused_before_any_change(self, monkeypatch):
+        # on the sweep a column is built when its node first joins; a
+        # step over the byte cap raises, and the oracle stays as it was
+        g = gen_random(40, 0.15, seed=8)
+        pc = apsp(g)
+        monkeypatch.setattr(gbc_mod, "_pb_sweeps", lambda pc, c: True)
+        oracle = GbcOracle(pc)
+        oracle.add(3)
+        before = (oracle.value, oracle.members, oracle.gains(range(g.n)).tolist())
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_mod, "_BYTES_CAP", 17 * g.n * g.n)
+            with pytest.raises(CapExceededError, match="path-betweenness column"):
+                oracle.add(5)
+        assert (oracle.value, oracle.members, oracle.gains(range(g.n)).tolist()) == before
+        oracle.add(5)
+        assert oracle.value == pytest.approx(gbc_direct(pc, [3, 5]), abs=1e-9 * g.n**2)
 
     @pytest.mark.parametrize("case", range(6))
     def test_uncached_gain_is_the_add_product(self, case):
@@ -266,10 +306,14 @@ class TestOracle:
         oracle.add(1)
         assert oracle.gain(1) == 0.0
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", [*range(10), *_DEEP])
     def test_random_trajectories_match_direct(self, seed):
-        rng = random.Random(seed)
-        g = gen_random(rng.randint(4, 9), 0.4, seed=seed + 100)
+        if seed in _DEEP:  # every node of a high-diameter or twin-heavy graph
+            g = _DEEP[seed]()
+            rng = random.Random(len(seed))
+        else:
+            rng = random.Random(seed)
+            g = gen_random(rng.randint(4, 9), 0.4, seed=seed + 100)
         pc = apsp(g)
         tol = 1e-9 * g.n * g.n
         oracle = GbcOracle(pc)
@@ -283,39 +327,56 @@ class TestOracle:
             assert abs(oracle.base_value - gbc_direct(pc, chosen)) <= tol
 
 
+def _with_count_5_to_4(oracle, count):
+    """oracle, with member 4's stored avoiding count between 5 and 4 set
+    to count; the path 4-5 has one path, which adding 2 replays."""
+    counts = oracle._counts.copy()
+    counts[0, 5] = count
+    oracle._counts = counts
+    return oracle
+
+
 class TestClamp:
     """add() zeroes float dust in the avoiding counts and refuses more."""
 
     def test_negative_counts_beyond_tolerance_raise(self):
         oracle = GbcOracle(apsp(path(6)))
-        oracle.sigma_tilde[0, 4] = oracle.sigma_tilde[4, 0] = 0.0
+        oracle.add(4)
+        _with_count_5_to_4(oracle, 2.0)
         with pytest.raises(ConsistencyError, match="beyond tolerance"):
             oracle.add(2)
 
     def test_dust_below_tolerance_is_zeroed(self):
         oracle = GbcOracle(apsp(path(6)))
+        oracle.add(4)
         dust = gbc_mod._CLAMP_REL / 10
-        oracle.sigma_tilde[0, 4] = oracle.sigma_tilde[4, 0] = 1.0 - dust
-        oracle.add(2)  # 0-4's one path meets 2: its count goes to -dust
-        assert oracle.sigma_tilde[0, 4] == oracle.sigma_tilde[4, 0] == 0.0
-        assert oracle.sigma_tilde.min() == 0.0 and oracle._pb.min() >= 0.0
+        _with_count_5_to_4(oracle, 1.0 + dust)
+        oracle.add(2)  # 5-2's one path meets 4: its count goes to -dust
+        assert oracle._counts[1, 5] == 0.0
+        assert oracle._counts.min() == 0.0 and oracle._ratios.min() >= 0.0
 
 
 class TestPoolOracle:
     """GbcOracle(pc, pool): the c x c candidate-space representation."""
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", [*range(12), *_DEEP_POOLS])
     def test_matches_full_oracle_and_direct(self, seed):
-        rng = random.Random(seed + 300)
-        n = rng.randint(4, 8) if seed % 3 == 0 else rng.randint(9, 30)
-        g = gen_random(n, rng.choice([0.15, 0.3, 0.5]), seed=seed + 310)
+        if seed in _DEEP_POOLS:  # every pool node, in a seeded order
+            g, pool = _DEEP_POOLS[seed]()
+            rng = random.Random(len(seed))
+            seq = rng.sample(pool, len(pool))
+        else:
+            rng = random.Random(seed + 300)
+            n = rng.randint(4, 8) if seed % 3 == 0 else rng.randint(9, 30)
+            g = gen_random(n, rng.choice([0.15, 0.3, 0.5]), seed=seed + 310)
+            pool = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            seq = rng.sample(pool, rng.randint(1, len(pool)))
         pc = apsp(g)
         tol = 1e-9 * g.n * g.n
-        pool = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
         oracle = GbcOracle(pc, pool)
         full = GbcOracle(pc)
         chosen = []
-        for v in rng.sample(pool, rng.randint(1, len(pool))):
+        for v in seq:
             base = gbc_direct(pc, chosen)
             got = oracle.gains(pool)  # members stay in the pool and score 0
             assert np.abs(got - full.gains(pool)).max() <= tol
@@ -347,11 +408,12 @@ class TestPoolOracle:
         oracle = GbcOracle(apsp(c4), range(4))
         oracle.add(1)
         before = (oracle.value, oracle.gains(range(4)).tolist())
-        counts, pb = oracle.sigma_tilde.copy(), oracle._pb.copy()
+        state = [oracle._diag.copy(), oracle._counts, oracle._ratios]
         with pytest.raises(ContractViolationError):
             oracle.add(1)
         assert (oracle.value, oracle.gains(range(4)).tolist()) == before
-        assert (oracle.sigma_tilde == counts).all() and (oracle._pb == pb).all()
+        assert (oracle._diag == state[0]).all()
+        assert oracle._counts is state[1] and oracle._ratios is state[2]
         assert oracle.members == (1,)
 
     def test_copy_is_independent(self):
@@ -374,16 +436,16 @@ class TestPoolOracle:
 
 @pytest.fixture(params=["slab", "sweep"])
 def pb_kernel(request, monkeypatch):
-    """Force one path-betweenness kernel on every pool."""
+    """Force one route to the empty-group diagonal on every pool."""
     sweeps = request.param == "sweep"
     monkeypatch.setattr(gbc_mod, "_pb_sweeps", lambda pc, c: sweeps)
     return request.param
 
 
 def pb_kernel_calls(monkeypatch):
-    """Record the name of each path-betweenness kernel as it runs."""
+    """Record the name of each route to the empty-group diagonal as it runs."""
     calls = []
-    for name in ("_pb_slab", "_pb_sweep"):
+    for name in ("_diag_slab", "_diag_sweep"):
         real = getattr(gbc_mod, name)
 
         def counting(*args, real=real, name=name):
@@ -396,7 +458,7 @@ def pb_kernel_calls(monkeypatch):
 
 @pytest.mark.usefixtures("pb_kernel")
 class TestPoolOraclePerKernel(TestPoolOracle):
-    """TestPoolOracle again, once under each forced kernel."""
+    """TestPoolOracle again, once under each forced route."""
 
 
 def _pb_graphs():
@@ -414,18 +476,28 @@ def _pb_graphs():
 class TestPbKernels:
     @pytest.mark.parametrize("name,make", _pb_graphs(), ids=[c[0] for c in _pb_graphs()])
     def test_slab_and_sweep_agree(self, name, make):
+        # the slab's columns, and so its diagonal, against the sweep's diagonal
         g = make()
         pc = apsp(g)
         scale = g.n * g.n
         rng = np.random.default_rng(len(name))
         for c in sorted({1, 3, 9, g.n // 4, g.n}):
             ids = np.sort(rng.choice(g.n, c, replace=False))
-            slab, sweep = gbc_mod._pb_slab(pc, ids), gbc_mod._pb_sweep(pc, ids)
+            columns = gbc_mod._diag_slab(pc, ids)
+            slab, sweep = np.diagonal(columns), gbc_mod._diag_sweep(pc, ids)
             assert np.abs(slab - sweep).max() <= 1e-12 * scale
+            assert np.abs(columns - columns.T).max() <= 1e-12 * scale  # PB is symmetric
         # with every node pooled, the diagonal minus 1 is each node's value
         want = [gbc_direct(pc, [v]) for v in range(g.n)]
-        for pb in (slab, sweep):
-            assert np.abs(np.diagonal(pb) - 1.0 - want).max() <= 1e-9 * scale
+        for diag in (slab, sweep):
+            assert np.abs(diag - 1.0 - want).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("name,make", _pb_graphs(), ids=[c[0] for c in _pb_graphs()])
+    def test_empty_gains_are_brandes(self, name, make, pb_kernel):
+        g = make()
+        want = brandes_bc(g) + 2 * (g.n - 1)
+        got = GbcOracle(apsp(g)).gains(range(g.n))
+        assert np.abs(got - want).max() <= 1e-9 * g.n * g.n
 
     def test_every_node_pool_shares_apsp_arrays(self):
         pc = apsp(gen_random(30, 0.2, seed=74))
@@ -433,20 +505,6 @@ class TestPbKernels:
         assert pool.dist is pc.dist and pool.sigma is pc.sigma
         part = GbcOracle(pc, range(1, pc.n))._pool
         assert (part.sigma == pc.sigma[1:, 1:]).all() and (part.dist == pc.dist[1:, 1:]).all()
-
-    def test_blocked_add_is_bit_identical(self, monkeypatch):
-        # a pool past _ADD_ENTRIES updates in row blocks; each block must
-        # read row and column m as they were before the add
-        g = gen_random(40, 0.15, seed=9)
-        pc = apsp(g)
-        whole, blocked = GbcOracle(pc), GbcOracle(pc)
-        for v in (17, 0, 39, 5, 22):
-            want = whole.add(v)
-            monkeypatch.setattr(gbc_mod, "_ADD_ENTRIES", 7 * g.n)  # blocks of 7 rows
-            assert blocked.add(v) == want
-            monkeypatch.undo()
-            assert (blocked.sigma_tilde == whole.sigma_tilde).all()
-            assert (blocked._pb == whole._pb).all()
 
     def test_bench_pools_choose_their_kernel(self, monkeypatch):
         calls = pb_kernel_calls(monkeypatch)
@@ -456,15 +514,15 @@ class TestPbKernels:
             inst = CostedInstance.unit(g, float(k))
             greedy_modified(inst, g.ids(meta.whitelist))
             solve_exact(inst, g.ids(meta.whitelist))
-        assert calls == ["_pb_slab"] * 4
-        # every node of a 120-node random graph of mean degree 14 takes the sweeps
+        assert calls == ["_diag_slab"] * 4
+        # every node of a 120-node random graph of mean degree 14 takes the sweep
         calls.clear()
         for seed in range(3):
             g = gen_random(120, 14 / 119, seed=seed)
             greedy_unit(CostedInstance.unit(g, 10.0), 10)
             costs = gen_random_costs(g, (1, 5), seed=seed)
             greedy_ratio(CostedInstance(g, np.array([costs[lab] for lab in g.labels]), 10.0))
-        assert calls == ["_pb_sweep"] * 6
+        assert calls == ["_diag_sweep"] * 6
 
 
 def _kernel_graphs():
