@@ -212,10 +212,11 @@ def _verify_oracle(inst: CostedInstance, rng: random.Random) -> None:
     g = inst.graph
     pc = apsp(g)
     tol = 1e-9 * g.n * g.n
+    root = GbcOracle(pc)  # its copies share the diagonal and the column store
     for _ in range(20):
         size = rng.randrange(1, g.n + 1)
         seq = rng.sample(range(g.n), size)
-        oracles = GbcOracle(pc), GbcOracle(pc, seq)  # every node, and the sequence's pool
+        oracles = root.copy(), GbcOracle(pc, seq)  # every node, and the sequence's pool
         chosen: list[int] = []
         after = 0.0  # gbc_direct of the empty group
         for v in seq:

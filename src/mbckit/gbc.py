@@ -18,7 +18,8 @@ once (graph._GATHER_COST holds the rule and its measurement).  Both
 give the same integer counts, and both read the distances that `apsp`
 found: only its unblocked sparse sweep finds levels as it counts, since
 a blocked node can delay an entry's first flow past its distance, and
-the gather's come from scipy's Dijkstra.
+the gather's come from the quotient's bit-parallel breadth-first search
+or, on thin graphs, scipy's Dijkstra.
 
 The incremental oracle, GbcOracle, is the candidate-space oracle of
 Puzis, Elovici and Dolev (Phys. Rev. E 76, 2007) over a pool of c

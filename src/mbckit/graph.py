@@ -17,9 +17,14 @@ All-pairs hop distances and shortest-path counts are computed once per
 graph by `apsp`, kept on the graph, and shared read-only by every
 solver.  Like Brandes' breadth-first pass, one forward sweep finds both
 where the sparse product runs: an entry's level is the first product
-that reaches it.  Only the level-indexed gather, which must order every
-entry by distance before it runs, takes its distances from scipy's
-Dijkstra first.
+that reaches it.  The level-indexed gather, which must order every
+entry by distance before it runs, takes its distances from a
+bit-parallel breadth-first search first, _bit_bfs, which runs from
+every class at once, 64 sources to a machine word (Akiba, Iwata and
+Yoshida, "Fast exact shortest-path distance queries on large networks
+by pruned landmark labeling", 2013).  On thin graphs such as paths and
+cycles its per-level overhead loses to scipy's Dijkstra, which runs
+there instead; _BIT_BFS_COST holds the rule and its measurement.
 
 Counting runs on the twin quotient, the structural-equivalence
 reduction of Puzis, Zilberman, Elovici, Dolev and Brandes ("Heuristics
@@ -46,8 +51,9 @@ breadth-first order, in place of the largest class distance top.  As
 e0 <= top <= 2 * e0, that can only move a graph from the gather to the
 sparse sweep.  Both kernels sum integers below 2**53, so they agree bit
 for bit.  apsp refuses, with CapExceededError, class-space arrays over
-_BYTES_CAP bytes before it builds any, then counts that overflow, and
-n x n arrays over _BYTES_CAP bytes.
+_BYTES_CAP bytes, the transients of the gather's distance step
+included, before it builds any, then counts that overflow, and n x n
+arrays over _BYTES_CAP bytes.
 """
 
 from __future__ import annotations
@@ -335,9 +341,9 @@ _MIN_TWINS = 32
 # distance top is the truer input, but only the sparse sweep finds it,
 # as it runs.  As e0 <= top <= 2 * e0, reading e0 can only keep a graph
 # on the sparse sweep, which finds its own distances, while the gather
-# needs Dijkstra's first.  Divided by q, the sides are the neighbour
-# slots one gather pass reads and the multiply-adds and masked passes
-# of the sparse products.  Gather time, plus half its index build (an
+# takes them from a distance step first (see _BIT_BFS_COST).  Divided
+# by q, the sides are the neighbour slots one gather pass reads and the
+# multiply-adds and masked passes of the sparse products.  Gather time, plus half its index build (an
 # apsp and a gbc_direct share it), over sparse sweep time, best of 5
 # on a 2-core x86-64 machine, at x = top * (nnz + q) / (q * max
 # degree): gen_random(120, 14/119) 1.96 at x = 1.9 and gen_random(300,
@@ -348,6 +354,24 @@ _MIN_TWINS = 32
 # graphs break even later than large ones (x near 3), so the constant
 # keeps every 32-node tree (x up to 7.3) on the sparse sweep.
 _GATHER_COST = 10
+
+# Where the gather runs, its distances come from _bit_bfs when
+# _BIT_BFS_COST * e0 * (q * words * degree + 3000) < q * (q + nnz) *
+# log2(q), and from scipy's Dijkstra otherwise (_Quotient.bitwise);
+# words = ceil(q / 64) and e0 stands in for the number of levels.  The
+# left side is the bit search's word passes, degree gathers per
+# frontier row per level, plus a level's fixed numpy overhead in word
+# passes; the right is Dijkstra's heap work.  Bit search over Dijkstra
+# time, medians of 21 alternating runs (11 for q > 500) with one BLAS
+# thread on a 2-core x86-64 machine, at x = q * (q + nnz) * log2(q) /
+# (e0 * (q * words * degree + 3000)): grids 6x6 0.90 at 0.92, 8x8 0.56
+# at 2.4, 15x15 0.17 at 10, 20x20 0.17 at 12, 30x30 0.18 at 12, 3x60
+# 0.92 at 3.3, 3x100 0.84 at 3.5, 2x150 1.15 at 2.6; paths of 90, 200
+# and 600 nodes 2.2 at 0.52, 2.0 at 1.0 and 2.3 at 1.1; cycles of 150
+# and 300 nodes 1.34 at 1.7 and 1.20 at 2.5; ladders of 250 rungs 1.29
+# at 2.4; caterpillars of 250 spine nodes 1.38 at 1.8.  Every graph
+# past x = 3 gained, and every one that lost lay below it.
+_BIT_BFS_COST = 3
 
 
 class _Quotient:
@@ -364,13 +388,14 @@ class _Quotient:
     count the paths between two false twins without a sparse product.
     e0 is the eccentricity of class 0 and degree the largest class
     degree, the inputs of gathers() with q and adj.nnz.  Where the
-    gather runs, dist comes from scipy's Dijkstra when the quotient is
-    built; elsewhere it holds -1 off its diagonal until the first sweep
-    finds the levels, and top, the largest class distance, is None till
-    then.  _index is the level index of level_index(), None until the
-    gather first runs.  A graph with too few twins (see _MIN_TWINS) is
-    its own quotient (identity): cls is the identity, adj is g.csr()
-    and dist is the graph's own distance array.
+    gather runs, dist and top, the largest class distance, are found
+    when the quotient is built, by _bit_bfs or, where bitwise() says
+    not, by scipy's Dijkstra; elsewhere dist holds -1 off its diagonal
+    until the first sweep finds the levels, and top is None till then.
+    _index is the level index of level_index(), None until the gather
+    first runs.  A graph with too few twins (see _MIN_TWINS) is its own
+    quotient (identity): cls is the identity, adj is g.csr() and dist
+    is the graph's own distance array.
     """
 
     __slots__ = (
@@ -411,16 +436,22 @@ class _Quotient:
             v, self.e0 = int(pred[v]), self.e0 + 1
         self._index = None
         # refuse before the first q x q array: int64 dist and float64
-        # counts, and where the gather runs its index's order and nbrs
+        # counts, and where the gather runs its index's order and nbrs and
+        # the transients of its distance step
         gathers = self.gathers()
-        _check_bytes(
-            (24 * q + 8 * self.degree if gathers else 16 * q) * q,
-            f"path counts over {q} twin classes of {g.n} nodes",
-        )
+        bitwise = gathers and self.bitwise()
+        need = 16 * q * q
         if gathers:
-            dist = csgraph.shortest_path(self.adj, method="D", unweighted=True, directed=True)
-            self.dist = dist.astype(np.int64)
-            self.top = int(self.dist.max())
+            need += (8 * q + 8 * self.degree) * q
+            need += _bit_bfs_bytes(q, self.degree, 2 * self.e0) if bitwise else 8 * q * q
+        _check_bytes(need, f"path counts over {q} twin classes of {g.n} nodes")
+        if gathers:
+            if bitwise:
+                self.dist, self.top = _bit_bfs(self.adj, q, self.degree)
+            else:  # float64 distances, cast once
+                dist = csgraph.shortest_path(self.adj, method="D", unweighted=True, directed=True)
+                self.dist = dist.astype(np.int64)
+                self.top = int(self.dist.max())
             self.dist.setflags(write=False)
         else:  # the first sweep finds the levels
             self.dist = np.full((q, q), -1, dtype=np.int64)
@@ -438,6 +469,14 @@ class _Quotient:
         """
         return _GATHER_COST * self.q * self.degree < self.e0 * (self.adj.nnz + self.q)
 
+    def bitwise(self) -> bool:
+        """Whether the gather's distances come from _bit_bfs, not scipy's
+        Dijkstra (see _BIT_BFS_COST)."""
+        q = self.q
+        words = -(-q // 64)
+        bfs = self.e0 * (q * words * self.degree + 3000)
+        return _BIT_BFS_COST * bfs < q * (q + self.adj.nnz) * math.log2(q)
+
     def level_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, bounds, nbrs) for _level_gather, built on first use.
 
@@ -448,13 +487,12 @@ class _Quotient:
         q * q, the zero padding row, where it has fewer neighbours.
         """
         if self._index is None:
-            q, A = self.q, self.adj
+            q = self.q
             level = self.dist.astype(np.min_scalar_type(self.top)).ravel()
             order = np.argsort(level, kind="stable")
             bounds = np.searchsorted(level[order], np.arange(self.top + 2))
-            rows = np.repeat(np.arange(q), np.diff(A.indptr))
-            nbrs = np.full((self.degree, q), q * q, dtype=np.intp)
-            nbrs[np.arange(A.nnz) - A.indptr[rows], rows] = A.indices.astype(np.intp) * q
+            nbrs = _padded_neighbours(self.adj, q, self.degree)
+            nbrs *= q
             self._index = (order, bounds, nbrs)
         return self._index
 
@@ -555,6 +593,77 @@ def _twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     firsts.append((v, nbrs))
     reps = np.flatnonzero(head == np.arange(n))
     return np.searchsorted(reps, head), reps, within[reps]
+
+
+def _padded_neighbours(A: sparse.csr_matrix, q: int, degree: int) -> np.ndarray:
+    """Row j holds each class's j-th neighbour, or q, a padding row,
+    where it has fewer than j + 1."""
+    rows = np.repeat(np.arange(q), np.diff(A.indptr))
+    nbrs = np.full((degree, q), q, dtype=np.intp)
+    nbrs[np.arange(A.nnz) - A.indptr[rows], rows] = A.indices
+    return nbrs
+
+
+def _bit_bfs(A: sparse.csr_matrix, q: int, degree: int) -> tuple[np.ndarray, int]:
+    """(dist, top): the hop distances between the q classes of the
+    adjacency A, as an int64 array, and the largest of them.
+
+    One level-synchronous breadth-first search from every class at once,
+    64 sources to a machine word (the bit-parallel BFS of Akiba, Iwata
+    and Yoshida, 2013).  Bit s of row t of a level's frontier is set when
+    class t is at that distance from class s.  Each level ORs the
+    frontier rows of t's neighbours, read through the padded neighbour
+    table, whose padding row stays zero, and keeps the bits not seen at
+    an earlier level; the level's bits are ORed into plane b for each
+    bit b set in its number.  Each plane is unpacked once at the end and
+    the planes are summed, shifted, in the smallest dtype that holds
+    top (the planes' bits are disjoint, so an OR sums them), then cast
+    once.
+    """
+    words = -(-q // 64)
+    nbrs = _padded_neighbours(A, q, degree).ravel()
+    frontier = np.zeros((q + 1, words), dtype="<u8")  # row q is the padding
+    spare = np.zeros_like(frontier)
+    gathered = np.empty((degree * q, words), dtype="<u8")
+    s = np.arange(q)
+    frontier[s, s >> 6] = np.left_shift(np.uint64(1), (s & 63).astype(np.uint64))
+    unseen = ~frontier[:q]
+    planes: list[np.ndarray] = []
+    top = 0
+    for d in range(1, q):
+        new = spare[:q]
+        frontier.take(nbrs, axis=0, out=gathered, mode="clip")
+        np.bitwise_or.reduce(gathered.reshape(degree, q, words), axis=0, out=new)
+        new &= unseen
+        if not new.any():
+            break
+        top = d
+        unseen ^= new
+        if d.bit_length() > len(planes):
+            planes.append(np.zeros((q, words), dtype="<u8"))
+        for b in range(d.bit_length()):
+            if d >> b & 1:
+                planes[b] |= new
+        frontier, spare = spare, frontier
+    small = np.min_scalar_type(top)
+    dist = np.zeros((q, q), dtype=small)
+    wide = None if small == np.uint8 else np.empty((q, q), dtype=small)
+    for b, plane in enumerate(planes):
+        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=q, bitorder="little")
+        dist |= np.left_shift(bits, small.type(b), out=bits if wide is None else wide)
+    bits = wide = None  # the decode buffers go before the cast
+    return dist.astype(np.int64), top
+
+
+def _bit_bfs_bytes(q: int, degree: int, top: int) -> int:
+    """An upper bound on the bytes _bit_bfs holds besides its int64
+    dist, for a largest distance of at most top: its frontiers and
+    planes, and the decode's small-dtype sum, unpacked plane and, past
+    uint8, its widened copy."""
+    words = -(-q // 64)
+    small = np.min_scalar_type(top).itemsize
+    frontiers = 8 * words * ((degree + 1 + top.bit_length()) * q + 2 * (q + 1))
+    return frontiers + q * q * (1 + small + (small if small > 1 else 0))
 
 
 def _level_sweep(
@@ -684,10 +793,11 @@ def apsp(g: Graph) -> PathCounts:
     """Path counts by the level DP sigma(s, t) = sum of sigma(s, w) over
     neighbors w of t one hop closer, over the twin quotient.  The sparse
     sweep finds the distances in the same pass; the gather reads them
-    from scipy's Dijkstra (see _Quotient.gathers).  Between members of
-    distinct classes the distance is the quotient's, and sigma the
-    quotient's path count with each interior class weighted by its
-    size.  Two true twins are at distance 1 with sigma 1, two false
+    from _bit_bfs, or on thin graphs from scipy's Dijkstra, run when
+    the quotient is built (see _Quotient.gathers and bitwise).  Between
+    members of distinct classes the distance is the quotient's, and
+    sigma the quotient's path count with each interior class weighted
+    by its size.  Two true twins are at distance 1 with sigma 1, two false
     twins at distance 2 with sigma their degree.  The counts are
     integers, exact in doubles below 2**53, so they equal a sweep over
     the whole graph bit for bit.  A graph whose class-space arrays

@@ -40,15 +40,20 @@ def star4():
 @pytest.fixture
 def bfs_calls(monkeypatch):
     """List that grows by one per distance computation in apsp: a scipy
-    shortest-path call, or a level sweep handed unknown levels (-1 in
-    dist), which finds them as it counts."""
+    shortest-path call, a bit-parallel BFS, or a level sweep handed
+    unknown levels (-1 in dist), which finds them as it counts."""
     calls = []
     real_paths = csgraph.shortest_path
+    real_bits = graph_mod._bit_bfs
     real_sweep = graph_mod._level_sweep
 
     def paths(*args, **kwargs):
         calls.append("shortest_path")
         return real_paths(*args, **kwargs)
+
+    def bits(*args, **kwargs):
+        calls.append("_bit_bfs")
+        return real_bits(*args, **kwargs)
 
     def sweep(A, dist, *args, **kwargs):
         if (dist < 0).any():
@@ -56,6 +61,7 @@ def bfs_calls(monkeypatch):
         return real_sweep(A, dist, *args, **kwargs)
 
     monkeypatch.setattr(csgraph, "shortest_path", paths)
+    monkeypatch.setattr(graph_mod, "_bit_bfs", bits)
     monkeypatch.setattr(graph_mod, "_level_sweep", sweep)
     return calls
 

@@ -380,6 +380,133 @@ class TestKernels:
         assert qt._index is index
 
 
+def cycle(n):
+    return Graph([(str(i), str((i + 1) % n)) for i in range(n)])
+
+
+def caterpillar(spine, legs):
+    """A path of `spine` nodes with `legs` leaves on each."""
+    return Graph(
+        [(f"s{i}", f"s{i + 1}") for i in range(spine - 1)]
+        + [(f"s{i}", f"l{i}_{j}") for i in range(spine) for j in range(legs)]
+    )
+
+
+def _bit_bfs_cases():
+    cases = [(f"grid-{r}x{c}", lambda r=r, c=c: grid(r, c))
+             for r, c in ((3, 100), (5, 40), (8, 8), (20, 20), (1, 2))]
+    cases += [(f"path-{n}", lambda n=n: path(n)) for n in (2, 3, 63, 64, 65, 128, 129, 300)]
+    cases += [(f"cycle-{n}", lambda n=n: cycle(n)) for n in (3, 4, 64, 65, 151)]
+    cases += [(f"ladder-{n}", lambda n=n: grid(2, n)) for n in (32, 90)]
+    cases += [(f"caterpillar-{n}x{k}", lambda n=n, k=k: caterpillar(n, k))
+              for n, k in ((30, 1), (40, 3))]
+    cases += [(f"tree-{n}-{s}", lambda n=n, s=s: gen_random_tree(n, s))
+              for n, s in ((10, 0), (32, 1), (65, 2), (256, 1))]
+    cases += [(f"random-{n}-{s}", lambda n=n, p=p, s=s: gen_random(n, p, seed=s))
+              for n, p, s in ((20, 0.3, 1), (64, 0.1, 2), (120, 14 / 119, 0), (300, 8 / 299, 1))]
+    cases += [(f"tight-{k}", lambda k=k: gen_tight(k)[0]) for k in (2, 3)]
+    cases += [("apx", lambda: gen_apx(gen_random(30, 0.2, seed=1), k=1, l=3)[0])]
+    cases += [("k5", lambda: Graph([(str(i), str(j)) for i in range(5) for j in range(i + 1, 5)]))]
+    return cases
+
+
+def assert_bits_match_dijkstra(A):
+    q = A.shape[0]
+    dist, top = graph_mod._bit_bfs(A, q, int(np.diff(A.indptr).max()))
+    want = csgraph.shortest_path(A, method="D", unweighted=True, directed=True).astype(np.int64)
+    assert dist.dtype == np.int64 and np.array_equal(dist, want)
+    assert type(top) is int and top == int(want.max())
+
+
+class TestBitBfs:
+    @pytest.mark.parametrize("name,make", _bit_bfs_cases(), ids=[c[0] for c in _bit_bfs_cases()])
+    def test_matches_dijkstra(self, name, make, min_twins):
+        g = make()
+        qt = _quotient(g)
+        assert_bits_match_dijkstra(qt.adj)
+        if not qt.identity:
+            assert_bits_match_dijkstra(g.csr())
+        if name == "k5" and min_twins == "forced":
+            assert qt.q == 1 and qt.degree == 0
+        if name.startswith("path-6"):
+            assert qt.q == int(name[5:])  # at the 64-bit word boundary
+
+    def test_bench_graphs_choose_their_distance_step(self, bfs_calls):
+        # hd-eval's grids take the bit BFS; its 200-node path and
+        # tree-dp's 90-node path keep Dijkstra
+        for make, step in (
+            (lambda: grid(20, 20), "_bit_bfs"),
+            (lambda: grid(15, 15), "_bit_bfs"),
+            (lambda: path(200), "shortest_path"),
+            (lambda: path(90), "shortest_path"),
+        ):
+            bfs_calls.clear()
+            g = make()
+            assert _quotient(g).gathers()
+            apsp(g)
+            assert bfs_calls == [step]
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda s=s: gen_random(120, 14 / 119, seed=s) for s in range(3)]
+        + [lambda: gen_tight(2)[0], lambda: gen_tight(3)[0]],
+        ids=[f"random-120-{s}" for s in range(3)] + ["tight-2", "tight-3"],
+    )
+    def test_sparse_graphs_never_reach_it(self, make, bfs_calls):
+        # er-greedy's and tight-restart's graphs find their levels in the sweep
+        g = make()
+        pc = apsp(g)
+        gbc_direct(pc, [0, 5])
+        assert bfs_calls == ["_level_sweep"]
+
+    @pytest.mark.parametrize("step", ["default", "dijkstra"])
+    def test_distance_step_peak_is_counted(self, monkeypatch, step):
+        g = grid(40, 40)
+        needs = []
+        real = graph_mod._check_bytes
+
+        def recording(need, what):
+            needs.append(need)
+            return real(need, what)
+
+        monkeypatch.setattr(graph_mod, "_check_bytes", recording)
+        if step == "dijkstra":
+            monkeypatch.setattr(graph_mod._Quotient, "bitwise", lambda self: False)
+        tracemalloc.start()
+        try:
+            qt = _quotient(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        q = qt.q
+        assert qt.gathers() and qt.bitwise() is (step == "default")
+        assert len(needs) == 1 and peak <= needs[0]
+        if step == "default":  # below Dijkstra's float64 array and its int64 cast
+            assert peak < 16 * q * q
+            # the search alone, past the dist it returns, within its count
+            tracemalloc.start()
+            try:
+                graph_mod._bit_bfs(qt.adj, q, qt.degree)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - 8 * q * q <= graph_mod._bit_bfs_bytes(q, qt.degree, 2 * qt.e0)
+
+
+@pytest.fixture(params=["bits", "dijkstra"])
+def distance_step(request, monkeypatch):
+    """Force the gather on every quotient, with one distance step."""
+    bits = request.param == "bits"
+    monkeypatch.setattr(graph_mod._Quotient, "gathers", lambda self: True)
+    monkeypatch.setattr(graph_mod._Quotient, "bitwise", lambda self: bits)
+    return request.param
+
+
+@pytest.mark.usefixtures("distance_step")
+class TestBitIdentityPerDistanceStep(TestBitIdentity):
+    """TestBitIdentity again on the gather, once from each distance step."""
+
+
 class TestOverflowThroughTheGather:
     def test_chain_overflows_on_the_gather_without_warnings(self, monkeypatch):
         calls = kernel_calls(monkeypatch)
